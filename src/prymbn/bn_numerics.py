@@ -118,10 +118,17 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     return DimReport(value, exactness, emptiness, source)
 
 
-def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
-    """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
+def _check_twisted(g: int, k: int) -> None:
+    """Hypotheses shared by the twisted loci: g >= 1 and k in {0, 1, 2}."""
+    if g < 1:
+        raise ParameterError(f"twisted loci need g >= 1, got {g}")
     if k not in (0, 1, 2):
         raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k}")
+
+
+def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
+    """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
+    _check_twisted(g, k)
     if r < 0:
         raise ParameterError("rank must be non-negative")
     value = g + k - 1 - (r + 1) * (r + 2) // 2
@@ -138,8 +145,7 @@ def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
 
 def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimReport:
     """Twisted locus with prescribed vanishing a at a generic point."""
-    if k not in (0, 1, 2):
-        raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k}")
+    _check_twisted(g, k)
     if a[-1] > 2 * g - 2 + k:
         raise ParameterError(
             f"top vanishing order {a[-1]} exceeds 2g-2+k = {2 * g - 2 + k}"
@@ -172,8 +178,7 @@ def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
 
 def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     """Twisted locus further twisted down by an effective divisor of degree d."""
-    if k not in (0, 1, 2):
-        raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k}")
+    _check_twisted(g, k)
     if r < 0 or d < 0:
         raise ParameterError("rank and divisor degree must be non-negative")
     value = g - 1 + k - d * (r + 1) - (r + 1) * (r + 2) // 2

@@ -17,16 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import formulas, lagrangian, theta_ring, verify
-from .bn_numerics import (
-    DimReport,
-    VanishingSequence,
-    expected_dim_V,
-    expected_dim_V_divisor,
-    expected_dim_V_eta,
-    expected_dim_V_eta_divisor,
-    expected_dim_V_eta_pointed,
-)
+from . import bn_numerics, formulas, lagrangian, theta_ring, verify
+from .bn_numerics import VanishingSequence
 from .errors import InvariantViolationError, PrymBNError
 from .limit_series import (
     RAMIFIED_X_PLUS_Y,
@@ -46,9 +38,9 @@ class UsageError(Exception):
 
 
 def _rat(x) -> Any:
-    """Canonical rational: unquoted integer or reduced "p/q" string."""
+    """Canonical rational: an integer, or a Fraction rendered as "p/q"."""
     f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return int(f) if f.denominator == 1 else f
 
 
 def _theta_json(c: ThetaClass) -> Dict[str, Any]:
@@ -56,19 +48,10 @@ def _theta_json(c: ThetaClass) -> Dict[str, Any]:
     return {"coeff": _rat(c.coeff), "exponent": c.exponent, "generator": name}
 
 
-def _dim_json(rep: DimReport) -> Dict[str, Any]:
-    return {
-        "value": rep.value,
-        "exactness": rep.exactness,
-        "emptiness": rep.emptiness,
-    }
-
-
 def _parse_sequence(text: str) -> VanishingSequence:
     try:
-        entries = tuple(int(t) for t in text.split(","))
-        return VanishingSequence(entries)
-    except (ValueError, PrymBNError) as exc:
+        return VanishingSequence(tuple(int(t) for t in text.split(",")))
+    except ValueError as exc:  # also the ParameterError of a bad sequence
         raise UsageError(f"invalid vanishing sequence {text!r}: {exc}") from exc
 
 
@@ -82,87 +65,93 @@ def _record(command: str, params: Dict[str, Any], result: Dict[str, Any],
     }
 
 
+def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]:
+    """The values of the locus flags ``flags``, in order, also put in ``params``.
+
+    A flag of ``flags`` that is missing, or one of --r/--d/--a that is given
+    but not in ``flags``, is a usage error naming the flag.
+    """
+    for flag in ("r", "d", "a"):
+        if flag not in flags and getattr(args, flag, None) is not None:
+            raise UsageError(f"--{flag} is not used by locus {args.locus}")
+    values = []
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is None:
+            raise UsageError(f"--{flag} is required for locus {args.locus}")
+        if flag == "a":
+            value = _parse_sequence(value)
+            params["a"] = list(value.entries)
+        else:
+            params[flag] = value
+        values.append(value)
+    return values
+
+
+def _engine_unramified(r: int) -> ThetaClass:
+    """P-tilde at the staircase of length r, rewritten in xi; 1 at r = 0."""
+    if r < 1:
+        return ThetaClass(Fraction(1), 0, theta_ring.XI)
+    lam = lagrangian.staircase(r)
+    return theta_ring.substitute_theta_prime_as_2xi(
+        lagrangian.p_tilde(lam, formulas.chern_series_W(lam.weight))
+    )
+
+
+def _engine_twisted(r: int) -> ThetaClass:
+    """Q-tilde at the staircase of length r+1."""
+    lam = lagrangian.staircase(r + 1)
+    return lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
+
+
+# The library functions in both tables are looked up on their modules when
+# called, so that a wrapper put there (a monkeypatch, a tracer) sees the call.
+
+# locus -> (flags it takes besides --g/--k, expected-dimension function);
+# the citation is the report's source.
+_DIM_LOCI = {
+    "V": (("r",), lambda *v: bn_numerics.expected_dim_V(*v)),
+    "V_eta": (("r",), lambda *v: bn_numerics.expected_dim_V_eta(*v)),
+    "V_eta_pointed": (("a",), lambda *v: bn_numerics.expected_dim_V_eta_pointed(*v)),
+    "V_div": (("r", "d"), lambda *v: bn_numerics.expected_dim_V_divisor(*v)),
+    "V_eta_div": (("r", "d"), lambda *v: bn_numerics.expected_dim_V_eta_divisor(*v)),
+}
+
+_P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
+_Q_TILDE = "Q-tilde Pfaffian evaluation at c_i = theta'^i/i!"
+
+# locus -> (flags it takes, closed form, citation, engine, engine citation)
+_CLASS_LOCI = {
+    "V_unramified": (("r",), lambda r: formulas.unramified_class(r),
+                     "closed-form class of the norm-omega locus on P+/P-",
+                     _engine_unramified, _P_TILDE),
+    "V_eta": (("r",), lambda r: formulas.twisted_class(r),
+              "closed-form class of the twisted locus", _engine_twisted, _Q_TILDE),
+    "V_eta_pointed": (("a",), lambda a: formulas.twisted_pointed_class(a),
+                      "closed-form class of the pointed twisted locus",
+                      lambda a: lagrangian.lagrangian_class_pointed(a), _Q_TILDE),
+}
+
+
 def _cmd_dim(args) -> Dict[str, Any]:
-    locus = args.locus
-    params: Dict[str, Any] = {"locus": locus, "g": args.g, "k": args.k}
-    try:
-        if locus == "V":
-            if args.r is None:
-                raise UsageError("--r is required for locus V")
-            params["r"] = args.r
-            rep = expected_dim_V(args.g, args.k, args.r)
-        elif locus == "V_eta":
-            if args.r is None:
-                raise UsageError("--r is required for locus V_eta")
-            params["r"] = args.r
-            rep = expected_dim_V_eta(args.g, args.k, args.r)
-        elif locus == "V_eta_pointed":
-            if args.a is None:
-                raise UsageError("--a is required for locus V_eta_pointed")
-            seq = _parse_sequence(args.a)
-            params["a"] = list(seq.entries)
-            rep = expected_dim_V_eta_pointed(args.g, args.k, seq)
-        elif locus == "V_div":
-            if args.r is None or args.d is None:
-                raise UsageError("--r and --d are required for locus V_div")
-            params["r"], params["d"] = args.r, args.d
-            rep = expected_dim_V_divisor(args.g, args.k, args.r, args.d)
-        else:  # V_eta_div
-            if args.r is None or args.d is None:
-                raise UsageError("--r and --d are required for locus V_eta_div")
-            params["r"], params["d"] = args.r, args.d
-            rep = expected_dim_V_eta_divisor(args.g, args.k, args.r, args.d)
-    except PrymBNError as exc:
-        raise UsageError(str(exc)) from exc
-    return _record("dim", params, _dim_json(rep), [rep.source])
+    flags, expected_dim = _DIM_LOCI[args.locus]
+    params: Dict[str, Any] = {"locus": args.locus, "g": args.g, "k": args.k}
+    rep = expected_dim(args.g, args.k, *_locus_args(args, flags, params))
+    result = {"value": rep.value, "exactness": rep.exactness, "emptiness": rep.emptiness}
+    return _record("dim", params, result, [rep.source])
 
 
 def _cmd_class(args) -> Dict[str, Any]:
-    locus = args.locus
-    params: Dict[str, Any] = {"locus": locus}
-    citations: List[str]
-    try:
-        if locus == "V_unramified":
-            if args.r is None:
-                raise UsageError("--r is required for locus V_unramified")
-            params["r"] = args.r
-            cls = formulas.unramified_class(args.r)
-            citations = ["closed-form class of the norm-omega locus on P+/P-"]
-        elif locus == "V_eta":
-            if args.r is None:
-                raise UsageError("--r is required for locus V_eta")
-            params["r"] = args.r
-            cls = formulas.twisted_class(args.r)
-            citations = ["closed-form class of the twisted locus"]
-        else:  # V_eta_pointed
-            if args.a is None:
-                raise UsageError("--a is required for locus V_eta_pointed")
-            seq = _parse_sequence(args.a)
-            params["a"] = list(seq.entries)
-            cls = formulas.twisted_pointed_class(seq)
-            citations = ["closed-form class of the pointed twisted locus"]
-    except PrymBNError as exc:
-        raise UsageError(str(exc)) from exc
-
+    flags, closed_form, citation, engine_class, engine_citation = _CLASS_LOCI[args.locus]
+    params: Dict[str, Any] = {"locus": args.locus}
+    values = _locus_args(args, flags, params)
+    cls = closed_form(*values)
     result: Dict[str, Any] = {"class": _theta_json(cls)}
+    citations = [citation]
     if args.engine:
         params["engine"] = True
-        if locus == "V_unramified":
-            lam = lagrangian.staircase(args.r) if args.r >= 1 else None
-            if lam is None:
-                engine = ThetaClass(Fraction(1), 0, theta_ring.XI)
-            else:
-                engine = theta_ring.substitute_theta_prime_as_2xi(
-                    lagrangian.p_tilde(lam, formulas.chern_series_W(lam.weight))
-                )
-            citations.append("P-tilde Pfaffian evaluation at c_i = theta'^i/i!")
-        elif locus == "V_eta":
-            lam = lagrangian.staircase(args.r + 1)
-            engine = lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
-            citations.append("Q-tilde Pfaffian evaluation at c_i = theta'^i/i!")
-        else:
-            engine = lagrangian.lagrangian_class_pointed(seq)
-            citations.append("Q-tilde Pfaffian evaluation at c_i = theta'^i/i!")
+        engine = engine_class(*values)
+        citations.append(engine_citation)
         result["engine"] = _theta_json(engine)
         result["engine_agrees"] = engine == cls
         if engine.exponent == cls.exponent and cls.coeff != 0:
@@ -174,18 +163,11 @@ def _cmd_count(args) -> Dict[str, Any]:
     params = {"g": args.g, "k": args.k, "r": args.r}
     if args.k not in (1, 2):
         raise UsageError("counts are only calibrated for k = 1 or 2")
-    try:
-        rep = expected_dim_V_eta(args.g, args.k, args.r)
-        if rep.value != 0:
-            raise UsageError(
-                f"expected dimension is {rep.value}, not 0; no finite count"
-            )
-        space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
-        n = formulas.count_points(formulas.twisted_class(args.r), space)
-    except InvariantViolationError:
-        raise
-    except PrymBNError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = bn_numerics.expected_dim_V_eta(args.g, args.k, args.r)
+    if rep.value != 0:
+        raise UsageError(f"expected dimension is {rep.value}, not 0; no finite count")
+    space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
+    n = formulas.count_points(formulas.twisted_class(args.r), space)
     return _record(
         "count",
         params,
@@ -202,10 +184,7 @@ _FLAVOR_MAP = {
 
 def _cmd_limits(args) -> Dict[str, Any]:
     params: Dict[str, Any] = {"flavor": args.flavor, "g": args.g, "r": args.r}
-    try:
-        problem = LimitProblem(_FLAVOR_MAP[args.flavor], args.g, args.r)
-    except PrymBNError as exc:
-        raise UsageError(str(exc)) from exc
+    problem = LimitProblem(_FLAVOR_MAP[args.flavor], args.g, args.r)
     citations = ["vanishing orders of aspects of Prym limit linear series"]
     if problem.s < 0:
         result: Dict[str, Any] = {"empty": True, "s": problem.s}
@@ -262,7 +241,7 @@ def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
 
 def _render(record: Dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+        return json.dumps(record, sort_keys=True, indent=2, default=str) + "\n"
     flat = _flatten_record(record)
     keys = sorted(flat)
     if fmt == "csv":
@@ -292,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_dim = sub.add_parser("dim", help="expected-dimension report for a locus")
-    p_dim.add_argument(
-        "--locus", required=True,
-        choices=("V", "V_eta", "V_eta_pointed", "V_div", "V_eta_div"),
-    )
+    p_dim.add_argument("--locus", required=True, choices=tuple(_DIM_LOCI))
     p_dim.add_argument("--g", type=int, required=True)
     p_dim.add_argument("--k", type=int, required=True)
     p_dim.add_argument("--r", type=int)
@@ -304,10 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.set_defaults(func=_cmd_dim)
 
     p_class = sub.add_parser("class", help="cohomology class as a theta multiple")
-    p_class.add_argument(
-        "--locus", required=True,
-        choices=("V_unramified", "V_eta", "V_eta_pointed"),
-    )
+    p_class.add_argument("--locus", required=True, choices=tuple(_CLASS_LOCI))
     p_class.add_argument("--r", type=int)
     p_class.add_argument("--a", help="comma-separated vanishing sequence")
     p_class.add_argument(
@@ -344,13 +317,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         record = args.func(args)
-    except UsageError as exc:
-        print(f"pbn: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except InvariantViolationError as exc:
         print(f"pbn: invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
-    sys.stdout.write(_render(record, args.format))
+    except (PrymBNError, UsageError) as exc:
+        print(f"pbn: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    # Exact coefficients from about rank 68 on have more digits than the
+    # default int-to-str limit (absent before Python 3.10.7): lift it while
+    # rendering only.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = _render(record, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text)
     if args.subcommand == "verify" and not record["result"]["all_passed"]:
         return INVARIANT_ERROR
     return 0

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import formulas, lagrangian, limit_series, theta_ring
-from .bn_numerics import VanishingSequence, expected_dim_V, expected_dim_V_eta
+from .bn_numerics import VanishingSequence, expected_dim_V
 from .errors import PrymBNError
 from .lagrangian import StrictPartition, staircase
 from .limit_series import (
@@ -51,68 +52,74 @@ def vanishing_sequences(max_total: int) -> Iterator[VanishingSequence]:
         yield VanishingSequence(tuple(p - 1 for p in reversed(lam.parts)))
 
 
-def suite_engine_oracle(max_weight: int = 24) -> SuiteResult:
+def _suite(name: str):
+    """Make a suite from a generator of case outcomes.
+
+    The generator yields None for a case that holds and a counterexample
+    string for one that fails.  The suite counts the cases and stops at the
+    first counterexample, counting the failing case too.
+    """
+
+    def decorate(
+        outcomes: Callable[..., Iterator[Optional[str]]]
+    ) -> Callable[..., SuiteResult]:
+        @wraps(outcomes)
+        def suite(*args, **kwargs) -> SuiteResult:
+            cases = 0
+            for counterexample in outcomes(*args, **kwargs):
+                cases += 1
+                if counterexample is not None:
+                    return SuiteResult(name, cases, False, counterexample)
+            return SuiteResult(name, cases, True)
+
+        return suite
+
+    return decorate
+
+
+@_suite("engine_oracle")
+def suite_engine_oracle(max_weight: int = 24) -> Iterator[Optional[str]]:
     """Pfaffian recursion against the closed product formula."""
-    cases = 0
     for lam in strict_partitions(max_weight):
-        cases += 1
         engine = lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
         oracle = lagrangian.eval_identity(lam)
-        if engine.coeff != oracle or engine.exponent != lam.weight:
-            return SuiteResult(
-                "engine_oracle", cases, False,
-                f"lambda={lam.parts}: engine {engine.coeff}, oracle {oracle}",
-            )
-    return SuiteResult("engine_oracle", cases, True)
+        ok = engine.coeff == oracle and engine.exponent == lam.weight
+        yield None if ok else f"lambda={lam.parts}: engine {engine.coeff}, oracle {oracle}"
 
 
-def suite_pointed_equivalence(max_weight: int = 24) -> SuiteResult:
+@_suite("pointed_equivalence")
+def suite_pointed_equivalence(max_weight: int = 24) -> Iterator[Optional[str]]:
     """Engine class of a vanishing sequence against the pointed closed form."""
-    cases = 0
     for a in vanishing_sequences(max_weight):
-        cases += 1
         engine = lagrangian.lagrangian_class_pointed(a)
         closed = formulas.twisted_pointed_class(a)
-        if engine != closed:
-            return SuiteResult(
-                "pointed_equivalence", cases, False,
-                f"a={a.entries}: engine {engine}, closed form {closed}",
-            )
-    return SuiteResult("pointed_equivalence", cases, True)
+        yield None if engine == closed else (
+            f"a={a.entries}: engine {engine}, closed form {closed}"
+        )
 
 
-def suite_staircase_relation(max_r: int = 6) -> SuiteResult:
+@_suite("staircase_relation")
+def suite_staircase_relation(max_r: int = 6) -> Iterator[Optional[str]]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
-    cases = 0
     for r in range(max_r + 1):
-        cases += 1
         lam = staircase(r + 1)
         engine = lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
         closed = formulas.twisted_class(r)
-        if engine.coeff != 2 ** (r + 1) * closed.coeff or engine.exponent != closed.exponent:
-            return SuiteResult(
-                "staircase_relation", cases, False,
-                f"r={r}: engine {engine.coeff}, 2^(r+1) x closed {2 ** (r + 1) * closed.coeff}",
-            )
-    return SuiteResult("staircase_relation", cases, True)
+        want = 2 ** (r + 1) * closed.coeff
+        ok = engine.coeff == want and engine.exponent == closed.exponent
+        yield None if ok else f"r={r}: engine {engine.coeff}, 2^(r+1) x closed {want}"
 
 
-def suite_unramified_reproduction(max_r: int = 8) -> SuiteResult:
+@_suite("unramified_reproduction")
+def suite_unramified_reproduction(max_r: int = 8) -> Iterator[Optional[str]]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
-    cases = 0
     for r in range(1, max_r + 1):
-        cases += 1
         lam = staircase(r)
         engine = theta_ring.substitute_theta_prime_as_2xi(
             lagrangian.p_tilde(lam, formulas.chern_series_W(lam.weight))
         )
         closed = formulas.unramified_class(r)
-        if engine != closed:
-            return SuiteResult(
-                "unramified_reproduction", cases, False,
-                f"r={r}: engine {engine}, closed form {closed}",
-            )
-    return SuiteResult("unramified_reproduction", cases, True)
+        yield None if engine == closed else f"r={r}: engine {engine}, closed form {closed}"
 
 
 def dimension_zero_genus(k: int, r: int) -> int:
@@ -120,105 +127,72 @@ def dimension_zero_genus(k: int, r: int) -> int:
     return (r + 1) * (r + 2) // 2 + 1 - k
 
 
-def suite_count_integrality(max_r: int = 5) -> SuiteResult:
+@_suite("count_integrality")
+def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
     """Counts at the dimension-zero genus are positive integers (k = 1, 2)."""
-    cases = 0
     for k in (1, 2):
         for r in range(max_r + 1):
             g = dimension_zero_genus(k, r)
             if g < 2:
                 continue  # below the genus-2 domain of the torsor table
-            cases += 1
             space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, g, k)
             try:
                 n = formulas.count_points(formulas.twisted_class(r), space)
             except PrymBNError as exc:
-                return SuiteResult(
-                    "count_integrality", cases, False, f"k={k} r={r} g={g}: {exc}"
-                )
-            if n <= 0:
-                return SuiteResult(
-                    "count_integrality", cases, False, f"k={k} r={r} g={g}: count {n}"
-                )
-    return SuiteResult("count_integrality", cases, True)
+                yield f"k={k} r={r} g={g}: {exc}"
+                continue
+            yield None if n > 0 else f"k={k} r={r} g={g}: count {n}"
 
 
-def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> SuiteResult:
+@_suite("limit_solver")
+def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str]]:
     """solve_unique agrees with the closed forms wherever s >= 0."""
-    cases = 0
     for flavor in (UNRAMIFIED_DELTA1, RAMIFIED_X_PLUS_Y):
         for g in range(2, max_g + 1):
             for r in range(max_r + 1):
                 p = LimitProblem(flavor, g, r)
                 if p.s < 0:
                     continue
-                cases += 1
                 try:
                     solved = solve_unique(p)
                 except PrymBNError as exc:
-                    return SuiteResult(
-                        "limit_solver", cases, False, f"{flavor} g={g} r={r}: {exc}"
-                    )
+                    yield f"{flavor} g={g} r={r}: {exc}"
+                    continue
                 if flavor == UNRAMIFIED_DELTA1:
                     closed = limit_series.prym_limit_vanishing(g, r)
                 else:
                     closed = limit_series.prym_limit_vanishing_ramified(g, r)
-                if solved != closed:
-                    return SuiteResult(
-                        "limit_solver", cases, False,
-                        f"{flavor} g={g} r={r}: {solved.entries} != {closed.entries}",
-                    )
-    return SuiteResult("limit_solver", cases, True)
+                yield None if solved == closed else (
+                    f"{flavor} g={g} r={r}: {solved.entries} != {closed.entries}"
+                )
 
 
-def suite_w_consistency(max_g: int = 30, max_r: int = 6) -> SuiteResult:
+@_suite("w_consistency")
+def suite_w_consistency(max_g: int = 30, max_r: int = 6) -> Iterator[Optional[str]]:
     """Pointed W-locus dimension matches the unramified expected dimension."""
-    cases = 0
     for g in range(2, max_g + 1):
         for r in range(max_r + 1):
             a = VanishingSequence(tuple(2 * i for i in range(r + 1)))
             if a[-1] > g + r - 1:
                 continue  # vanishing orders out of range for the degree
-            cases += 1
             got = w_locus_expected_dim(g - 1, g + r - 1, a)
             want = expected_dim_V(g, 0, r).value
-            if got != want:
-                return SuiteResult(
-                    "w_consistency", cases, False, f"g={g} r={r}: {got} != {want}"
-                )
-    return SuiteResult("w_consistency", cases, True)
+            yield None if got == want else f"g={g} r={r}: {got} != {want}"
 
 
-def suite_degree_table(max_g: int = 30) -> SuiteResult:
+@_suite("degree_table")
+def suite_degree_table(max_g: int = 30) -> Iterator[Optional[str]]:
     """Top self-intersections match the calibration table."""
-    cases = 0
     for g in range(2, max_g + 1):
         for flavor, k in ((theta_ring.UNRAMIFIED_PM, 0),
                           (theta_ring.RAMIFIED_TWISTED, 1),
                           (theta_ring.RAMIFIED_TWISTED, 2)):
-            cases += 1
             space = theta_ring.make_space(flavor, g, k)
             gen = theta_ring.XI if flavor == theta_ring.UNRAMIFIED_PM else theta_ring.THETA_PRIME
             top = theta_ring.degree(
                 theta_ring.ThetaClass(Fraction(1), space.dim, gen), space
             )
-            if top != space.theta_top:
-                return SuiteResult(
-                    "degree_table", cases, False, f"{flavor} g={g} k={k}: {top}"
-                )
-    return SuiteResult("degree_table", cases, True)
-
-
-ALL_SUITES: List[Callable[..., SuiteResult]] = [
-    suite_engine_oracle,
-    suite_pointed_equivalence,
-    suite_staircase_relation,
-    suite_unramified_reproduction,
-    suite_count_integrality,
-    suite_limit_solver,
-    suite_w_consistency,
-    suite_degree_table,
-]
+            yield None if top == space.theta_top else f"{flavor} g={g} k={k}: {top}"
 
 
 def run_all(max_weight: int = 24, max_g: int = 12, max_r: int = 4) -> List[SuiteResult]:

@@ -187,6 +187,10 @@ class TestDivisorTwists:
         assert rep.value == -3
         assert rep.emptiness == EMPTY
 
+    def test_eta_rejects_negative_genus(self):
+        with pytest.raises(ParameterError):
+            expected_dim_V_eta_divisor(-5, 1, 0, 0)
+
     def test_d0_reduces_to_base_cases(self):
         for g in range(2, 31):
             for k in (0, 1, 2):

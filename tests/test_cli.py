@@ -1,10 +1,12 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from prymbn import cli
+from prymbn import cli, formulas
 
 
 def run_cli(*args):
@@ -52,6 +54,34 @@ class TestDim:
         code, _, _ = run_cli("dim", "--locus", "V", "--g", "5", "--k", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--locus", "V_eta", "--g", "-5", "--k", "1", "--r", "0"),
+            ("--locus", "V_eta", "--g", "0", "--k", "1", "--r", "0"),
+            ("--locus", "V_eta_pointed", "--g", "0", "--k", "2", "--a", "0"),
+            ("--locus", "V_eta_div", "--g", "0", "--k", "1", "--r", "0", "--d", "0"),
+        ],
+    )
+    def test_twisted_genus_below_one_is_usage_error(self, args):
+        code, _, err = run_cli("dim", *args)
+        assert code == 2
+        assert "g >= 1" in err
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("--locus", "V", "--r", "2", "--a", "0,1"), "--a"),
+            (("--locus", "V", "--r", "2", "--d", "1"), "--d"),
+            (("--locus", "V_eta", "--r", "1", "--d", "1"), "--d"),
+            (("--locus", "V_eta_pointed", "--a", "0,2", "--r", "1"), "--r"),
+        ],
+    )
+    def test_unused_flag_is_usage_error(self, args, flag):
+        code, _, err = run_cli("dim", "--g", "10", "--k", "1", *args)
+        assert code == 2
+        assert f"{flag} is not used" in err
+
 
 class TestClass:
     def test_v_eta(self):
@@ -86,6 +116,37 @@ class TestClass:
         rec = run_json("class", "--locus", "V_unramified", "--r", "3", "--engine")
         assert rec["result"]["engine_agrees"] is True
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("--locus", "V_eta_pointed", "--a", "0,1", "--r", "1"), "--r"),
+            (("--locus", "V_eta", "--r", "1", "--a", "0,1"), "--a"),
+        ],
+    )
+    def test_unused_flag_is_usage_error(self, args, flag):
+        code, _, err = run_cli("class", *args)
+        assert code == 2
+        assert f"{flag} is not used" in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no int-to-str digit limit on this Python",
+    )
+    def test_v_eta_coefficient_past_digit_limit(self):
+        # The coefficient at r = 68 has more digits than the default
+        # int-to-str limit; the CLI must render it exactly and leave the
+        # limit as it was.  Reading it back needs the limit lifted too.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("class", "--locus", "V_eta", "--r", "68")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            coeff = Fraction(json.loads(out)["result"]["class"]["coeff"])
+            assert coeff == formulas.twisted_class(68).coeff
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestCount:
     @pytest.mark.parametrize(
@@ -118,6 +179,11 @@ class TestLimits:
         rec = run_json("limits", "--flavor", "ramified", "--g", "5", "--r", "1")
         assert rec["result"]["solution"] == [4, 6]
 
+    def test_genus_zero_is_usage_error(self):
+        code, _, err = run_cli("limits", "--flavor", "unramified", "--g", "0", "--r", "1")
+        assert code == 2
+        assert "g >= 1" in err
+
     def test_empty_locus_exits_zero(self):
         code, out, _ = run_cli("limits", "--flavor", "unramified", "--g", "2", "--r", "2")
         assert code == 0
@@ -146,6 +212,17 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--max-weight", "4")
         assert code == 1
         assert json.loads(out)["result"]["all_passed"] is False
+
+    def test_suite_stops_at_first_counterexample(self, monkeypatch):
+        # The failing case is counted; the case counts the benchmark derives
+        # from the bounds rely on this rule.
+        from prymbn import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod.lagrangian, "eval_identity", lambda lam: 0)
+        res = verify_mod.suite_engine_oracle(4)
+        assert res.cases == 1
+        assert res.passed is False
+        assert res.counterexample.startswith("lambda=(4,):")
 
 
 class TestFormats:
