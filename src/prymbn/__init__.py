@@ -55,43 +55,10 @@ from .theta_ring import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditivityReport",
-    "ChernSeries",
-    "DimReport",
-    "LimitProblem",
-    "PrymSpace",
-    "StrictPartition",
-    "ThetaClass",
-    "VanishingSequence",
-    "additivity_report",
-    "chern_series_W",
-    "complementary_vanishing",
-    "count_points",
-    "degree",
-    "enumerate_candidates",
-    "eval_identity",
-    "expected_dim_V",
-    "expected_dim_V_divisor",
-    "expected_dim_V_eta",
-    "expected_dim_V_eta_divisor",
-    "expected_dim_V_eta_pointed",
-    "lagrangian_class_pointed",
-    "make_space",
-    "multiply",
-    "p_tilde",
-    "prym_limit_vanishing",
-    "prym_limit_vanishing_dual",
-    "prym_limit_vanishing_ramified",
-    "q_tilde",
-    "q_two",
-    "rho",
-    "rho_pointed",
-    "solve_unique",
-    "staircase",
-    "substitute_theta_prime_as_2xi",
-    "twisted_class",
-    "twisted_pointed_class",
-    "unramified_class",
-    "w_locus_expected_dim",
-]
+# The public names are exactly the package's own classes and functions
+# imported above.
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if getattr(obj, "__module__", "").startswith("prymbn.")
+)

@@ -126,6 +126,16 @@ def _check_twisted(g: int, k: int) -> None:
         raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k}")
 
 
+def _twisted_emptiness(value: int, k: int) -> str:
+    """Empty below dimension 0, non-empty for k in {1, 2}.
+
+    For k = 0 the dimension is exact but non-emptiness is not established.
+    """
+    if value < 0:
+        return EMPTY
+    return NONEMPTY if k else UNKNOWN
+
+
 def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
     """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
     _check_twisted(g, k)
@@ -133,14 +143,7 @@ def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
         raise ParameterError("rank must be non-negative")
     value = g + k - 1 - (r + 1) * (r + 2) // 2
     source = "exact dimension g+k-1-(r+1)(r+2)/2 of the twisted locus"
-    if value < 0:
-        emptiness = EMPTY
-    elif k in (1, 2):
-        emptiness = NONEMPTY
-    else:
-        # k = 0: the dimension is exact but non-emptiness is not established.
-        emptiness = UNKNOWN
-    return DimReport(value, THEOREM_EXACT, emptiness, source)
+    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
 
 
 def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimReport:
@@ -152,13 +155,7 @@ def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimRepor
         )
     value = g + k - a.r - 2 - a.weight
     source = "exact dimension g+k-r-2-|a| of the pointed twisted locus"
-    if value < 0:
-        emptiness = EMPTY
-    elif k in (1, 2):
-        emptiness = NONEMPTY
-    else:
-        emptiness = UNKNOWN
-    return DimReport(value, THEOREM_EXACT, emptiness, source)
+    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
 
 
 def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -204,16 +205,7 @@ def _cmd_verify(args) -> Dict[str, Any]:
     if min(params.values()) < 0:
         raise UsageError("verification bounds must be non-negative")
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
-    suites = []
-    for res in results:
-        entry: Dict[str, Any] = {
-            "name": res.name,
-            "cases": res.cases,
-            "passed": res.passed,
-        }
-        if res.counterexample:
-            entry["counterexample"] = res.counterexample
-        suites.append(entry)
+    suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
     return _record(
         "verify",

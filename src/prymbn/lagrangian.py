@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError
@@ -62,10 +61,7 @@ def _check_truncation(c: ChernSeries, needed: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _q2_coeff(a: int, b: int, coeffs: Tuple[Fraction, ...]) -> Fraction:
-    if b == 0:
-        return coeffs[a]
     total = coeffs[a] * coeffs[b]
     for j in range(1, b + 1):
         total += 2 * (-1) ** j * coeffs[a + j] * coeffs[b - j]
@@ -77,24 +73,18 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
     _check_truncation(c, a + b)
-    return ThetaClass(_q2_coeff(a, b, c.coeffs[: a + b + 1]), a + b, THETA_PRIME)
+    return ThetaClass(_q2_coeff(a, b, c.coeffs), a + b, THETA_PRIME)
 
 
-def _pfaffian(parts: Tuple[int, ...], coeffs: Tuple[Fraction, ...]) -> Fraction:
-    """First-row Pfaffian expansion over an even-length part tuple.
-
-    A trailing 0 part (padding) is allowed; Q_(a,0) = c_a.
-    """
-    if not parts:
-        return Fraction(1)
+def _pfaffian(parts: Tuple[int, ...], table: Dict[Tuple[int, int], Fraction]) -> Fraction:
+    """First-row Pfaffian expansion of the skew matrix table[p, q] over parts."""
     if len(parts) == 2:
-        return _q2_coeff(parts[0], parts[1], coeffs[: parts[0] + parts[1] + 1])
+        return table[parts]
     total = Fraction(0)
     for i in range(1, len(parts)):
-        pair = _q2_coeff(parts[0], parts[i], coeffs[: parts[0] + parts[i] + 1])
         rest = parts[1:i] + parts[i + 1 :]
         sign = -1 if i % 2 == 0 else 1
-        total += sign * pair * _pfaffian(rest, coeffs)
+        total += sign * table[parts[0], parts[i]] * _pfaffian(rest, table)
     return total
 
 
@@ -107,14 +97,20 @@ def q_tilde(lam: StrictPartition, c: ChernSeries, expand_row: int = 0) -> ThetaC
     _check_truncation(c, lam.weight)
     parts = lam.parts
     if len(parts) % 2 == 1:
-        parts = parts + (0,)
+        parts = parts + (0,)  # padding part: Q_(a,0) = c_a
     if not 0 <= expand_row < len(parts):
         raise ParameterError(f"row {expand_row} out of range for {parts}")
+    # The skew matrix Q_(a,b) = -Q_(b,a), built once; parts are distinct.
+    table = {}
+    for i, a in enumerate(parts):
+        for b in parts[i + 1 :]:
+            table[a, b] = _q2_coeff(a, b, c.coeffs)
+            table[b, a] = -table[a, b]
     # Moving row and column i to the front is conjugation by a cycle of
     # sign (-1)^i, which scales the Pfaffian by that sign.
     reordered = (parts[expand_row],) + parts[:expand_row] + parts[expand_row + 1 :]
     sign = -1 if expand_row % 2 == 1 else 1
-    coeff = sign * _pfaffian(reordered, c.coeffs)
+    coeff = sign * _pfaffian(reordered, table)
     return ThetaClass(coeff, lam.weight, THETA_PRIME)
 
 

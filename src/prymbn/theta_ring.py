@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -35,8 +35,6 @@ FLAVORS = (UNRAMIFIED_PM, RAMIFIED_TWISTED)
 THETA_PRIME = "theta_prime"
 XI = "xi"
 GENERATORS = (THETA_PRIME, XI)
-
-Rational = Union[Fraction, int]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prymbn import verify
 from prymbn.bn_numerics import VanishingSequence
 from prymbn.errors import ParameterError
 from prymbn.formulas import (
+    ChernSeries,
     chern_series_W,
     twisted_class,
     twisted_pointed_class,
@@ -88,6 +91,27 @@ class TestQTilde:
             rows = lam.length + (lam.length % 2)
             for row in range(1, rows):
                 assert q_tilde(lam, c, expand_row=row) == base
+
+    def test_expansion_row_independence_off_lagrangian_data(self):
+        # Q_(1,3) read off the skew table is -Q_(3,1), not the formula at (1,3).
+        lam, c = StrictPartition.of(3, 1), ChernSeries((1, 1, 1, 1, 1))
+        assert q_tilde(lam, c).coeff == -1
+        assert q_tilde(lam, c, expand_row=1).coeff == -1
+
+    @given(st.sets(st.integers(1, 9), min_size=1, max_size=6), st.data())
+    def test_expansion_row_independence_any_chern_series(self, parts, data):
+        lam = StrictPartition(tuple(sorted(parts, reverse=True)))
+        tail = data.draw(
+            st.lists(
+                st.integers(-3, 3),
+                min_size=lam.weight,
+                max_size=lam.weight,
+            )
+        )
+        c = ChernSeries((1, *tail))
+        base = q_tilde(lam, c)
+        for row in range(1, lam.length + (lam.length % 2)):
+            assert q_tilde(lam, c, expand_row=row) == base
 
 
 class TestEvalIdentity:
