@@ -180,5 +180,4 @@ def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
         raise ParameterError("rank and divisor degree must be non-negative")
     value = g - 1 + k - d * (r + 1) - (r + 1) * (r + 2) // 2
     source = "exact dimension g-1+k-(r+1)(r+2)/2-d(r+1) of the twisted divisor locus"
-    emptiness = EMPTY if value < 0 else NONEMPTY
-    return DimReport(value, THEOREM_EXACT, emptiness, source)
+    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)

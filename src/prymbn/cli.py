@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from . import bn_numerics, formulas, lagrangian, theta_ring, verify
 from .bn_numerics import VanishingSequence
-from .errors import InvariantViolationError, PrymBNError
+from .errors import InvariantViolationError, ParameterError, PrymBNError
 from .limit_series import (
     RAMIFIED_X_PLUS_Y,
     UNRAMIFIED_DELTA1,
@@ -28,14 +28,10 @@ from .limit_series import (
     enumerate_candidates,
     solve_unique,
 )
-from .theta_ring import THETA_PRIME, ThetaClass
+from .theta_ring import ThetaClass
 
 USAGE_ERROR = 2
 INVARIANT_ERROR = 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def _rat(x) -> Any:
@@ -45,15 +41,14 @@ def _rat(x) -> Any:
 
 
 def _theta_json(c: ThetaClass) -> Dict[str, Any]:
-    name = "theta'" if c.generator == THETA_PRIME else "xi"
-    return {"coeff": _rat(c.coeff), "exponent": c.exponent, "generator": name}
+    return {"coeff": _rat(c.coeff), "exponent": c.exponent, "generator": c.generator}
 
 
 def _parse_sequence(text: str) -> VanishingSequence:
     try:
         return VanishingSequence(tuple(int(t) for t in text.split(",")))
     except ValueError as exc:  # also the ParameterError of a bad sequence
-        raise UsageError(f"invalid vanishing sequence {text!r}: {exc}") from exc
+        raise ParameterError(f"invalid vanishing sequence {text!r}: {exc}") from exc
 
 
 def _record(command: str, params: Dict[str, Any], result: Dict[str, Any],
@@ -74,12 +69,12 @@ def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]
     """
     for flag in ("r", "d", "a"):
         if flag not in flags and getattr(args, flag, None) is not None:
-            raise UsageError(f"--{flag} is not used by locus {args.locus}")
+            raise ParameterError(f"--{flag} is not used by locus {args.locus}")
     values = []
     for flag in flags:
         value = getattr(args, flag)
         if value is None:
-            raise UsageError(f"--{flag} is required for locus {args.locus}")
+            raise ParameterError(f"--{flag} is required for locus {args.locus}")
         if flag == "a":
             value = _parse_sequence(value)
             params["a"] = list(value.entries)
@@ -87,22 +82,6 @@ def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]
             params[flag] = value
         values.append(value)
     return values
-
-
-def _engine_unramified(r: int) -> ThetaClass:
-    """P-tilde at the staircase of length r, rewritten in xi; 1 at r = 0."""
-    if r < 1:
-        return ThetaClass(Fraction(1), 0, theta_ring.XI)
-    lam = lagrangian.staircase(r)
-    return theta_ring.substitute_theta_prime_as_2xi(
-        lagrangian.p_tilde(lam, formulas.chern_series_W(lam.weight))
-    )
-
-
-def _engine_twisted(r: int) -> ThetaClass:
-    """Q-tilde at the staircase of length r+1."""
-    lam = lagrangian.staircase(r + 1)
-    return lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
 
 
 # The library functions in both tables are looked up on their modules when
@@ -125,9 +104,10 @@ _Q_TILDE = "Q-tilde Pfaffian evaluation at c_i = theta'^i/i!"
 _CLASS_LOCI = {
     "V_unramified": (("r",), lambda r: formulas.unramified_class(r),
                      "closed-form class of the norm-omega locus on P+/P-",
-                     _engine_unramified, _P_TILDE),
+                     lambda r: lagrangian.lagrangian_class_unramified(r), _P_TILDE),
     "V_eta": (("r",), lambda r: formulas.twisted_class(r),
-              "closed-form class of the twisted locus", _engine_twisted, _Q_TILDE),
+              "closed-form class of the twisted locus",
+              lambda r: lagrangian.lagrangian_class_twisted(r), _Q_TILDE),
     "V_eta_pointed": (("a",), lambda a: formulas.twisted_pointed_class(a),
                       "closed-form class of the pointed twisted locus",
                       lambda a: lagrangian.lagrangian_class_pointed(a), _Q_TILDE),
@@ -163,10 +143,10 @@ def _cmd_class(args) -> Dict[str, Any]:
 def _cmd_count(args) -> Dict[str, Any]:
     params = {"g": args.g, "k": args.k, "r": args.r}
     if args.k not in (1, 2):
-        raise UsageError("counts are only calibrated for k = 1 or 2")
+        raise ParameterError("counts are only calibrated for k = 1 or 2")
     rep = bn_numerics.expected_dim_V_eta(args.g, args.k, args.r)
     if rep.value != 0:
-        raise UsageError(f"expected dimension is {rep.value}, not 0; no finite count")
+        raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count")
     space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
     n = formulas.count_points(formulas.twisted_class(args.r), space)
     return _record(
@@ -203,7 +183,7 @@ def _cmd_limits(args) -> Dict[str, Any]:
 def _cmd_verify(args) -> Dict[str, Any]:
     params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
     if min(params.values()) < 0:
-        raise UsageError("verification bounds must be non-negative")
+        raise ParameterError("verification bounds must be non-negative")
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
     suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
@@ -312,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolationError as exc:
         print(f"pbn: invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
-    except (PrymBNError, UsageError) as exc:
+    except PrymBNError as exc:
         print(f"pbn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     # Exact coefficients from about rank 68 on have more digits than the

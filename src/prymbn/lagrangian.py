@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError
 from .formulas import ChernSeries, chern_series_W
-from .theta_ring import THETA_PRIME, ThetaClass
+from .theta_ring import THETA_PRIME, XI, ThetaClass, substitute_theta_prime_as_2xi
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,20 @@ def lagrangian_class_pointed(a: VanishingSequence) -> ThetaClass:
     """Engine value of the pointed twisted class: Q-tilde at c_i = theta'^i/i!."""
     lam = partition_for(a)
     return q_tilde(lam, chern_series_W(lam.weight))
+
+
+def lagrangian_class_twisted(r: int) -> ThetaClass:
+    """Engine value of the twisted class: Q-tilde at the staircase of length r+1."""
+    lam = staircase(r + 1)
+    return q_tilde(lam, chern_series_W(lam.weight))
+
+
+def lagrangian_class_unramified(r: int) -> ThetaClass:
+    """Engine value of the P+/P- class: P-tilde at staircase(r) in xi; 1 if r < 1."""
+    if r < 1:
+        return ThetaClass(Fraction(1), 0, XI)
+    lam = staircase(r)
+    return substitute_theta_prime_as_2xi(p_tilde(lam, chern_series_W(lam.weight)))
 
 
 def eval_identity(lam: StrictPartition) -> Fraction:

@@ -53,14 +53,11 @@ class LimitProblem:
 
     @property
     def s(self) -> int:
-        base = self.g if self.flavor == RAMIFIED_X_PLUS_Y else self.g - 1
-        return base - self.r * (self.r + 1) // 2
+        return self.degree // 2 - self.r * (self.r + 1) // 2
 
     @property
     def target_sum(self) -> int:
-        if self.flavor == RAMIFIED_X_PLUS_Y:
-            return (self.r + 1) * self.g
-        return (self.r + 1) * (self.g - 1)
+        return (self.r + 1) * (self.degree // 2)
 
 
 def complementary_vanishing(d: int, a: VanishingSequence) -> VanishingSequence:
@@ -70,18 +67,22 @@ def complementary_vanishing(d: int, a: VanishingSequence) -> VanishingSequence:
     return VanishingSequence(tuple(d - ai for ai in reversed(a.entries)))
 
 
+def _centered(half: int, r: int) -> VanishingSequence:
+    """The orders (h-r, h-r+2, ..., h+r) centred on h = half the degree."""
+    s = half - r * (r + 1) // 2
+    if s < 0:
+        raise ParameterError(f"no solution: s = {s} < 0")
+    return VanishingSequence(tuple(half - r + 2 * i for i in range(r + 1)))
+
+
 def prym_limit_vanishing(g: int, r: int) -> VanishingSequence:
     """Closed form (g-r-1, g-r+1, ..., g+r-1) for the elliptic-bridge problem."""
-    if g - 1 - r * (r + 1) // 2 < 0:
-        raise ParameterError(f"no solution: s = {g - 1 - r * (r + 1) // 2} < 0")
-    return VanishingSequence(tuple(g - r - 1 + 2 * i for i in range(r + 1)))
+    return _centered(g - 1, r)
 
 
 def prym_limit_vanishing_ramified(g: int, r: int) -> VanishingSequence:
     """Closed form (g-r, g-r+2, ..., g+r) for the rational-bridge problem."""
-    if g - r * (r + 1) // 2 < 0:
-        raise ParameterError(f"no solution: s = {g - r * (r + 1) // 2} < 0")
-    return VanishingSequence(tuple(g - r + 2 * i for i in range(r + 1)))
+    return _centered(g, r)
 
 
 def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
@@ -103,8 +104,7 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
     thresholds = [2 * g - c for c in dual_orders]
 
     # The two parity-consistent ways of picking one order per window.
-    low = tuple(g - r - 1 + 2 * i for i in range(r + 1))
-    high = tuple(g - r + 2 * i for i in range(r + 1))
+    low, high = (_centered(half, r).entries for half in (g - 1, g))
     target = (r + 1) * (g - 1)
     survivors = [cand for cand in (low, high) if sum(cand) == target]
     if len(survivors) != 1:
@@ -130,12 +130,14 @@ def enumerate_candidates(p: LimitProblem) -> List[VanishingSequence]:
     Exhaustive over strictly increasing (r+1)-subsets of [0, d]; no pruning
     beyond the stated constraints, so this stays an independent oracle.
     """
-    if p.s < 0:
+    # Properties are read once here: a property read per subset is a
+    # large share of the loop's cost.
+    s, d, target = p.s, p.degree, p.target_sum
+    if s < 0:
         return []
-    d = p.degree
     out: List[VanishingSequence] = []
     for entries in combinations(range(d + 1), p.r + 1):
-        if sum(entries) != p.target_sum:
+        if sum(entries) != target:
             continue
         if p.flavor == RAMIFIED_X_PLUS_Y:
             if any(y - x < 2 for x, y in zip(entries, entries[1:])):
@@ -148,9 +150,9 @@ def enumerate_candidates(p: LimitProblem) -> List[VanishingSequence]:
         if p.flavor != RAMIFIED_DUAL:
             # For the two directly-posed problems the sum filter is the
             # adjusted-rho condition; check it on both aspects explicitly.
-            if rho_pointed(p.component_genus, p.r, d, a) != p.s:
+            if rho_pointed(p.component_genus, p.r, d, a) != s:
                 continue
-            if rho_pointed(p.component_genus, p.r, d, b) != p.s:
+            if rho_pointed(p.component_genus, p.r, d, b) != s:
                 continue
         out.append(a)
     return out
@@ -179,12 +181,11 @@ def solve_unique(p: LimitProblem) -> VanishingSequence:
         survivors = [
             a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)
         ]
-        closed = prym_limit_vanishing(p.g, p.r)
     else:
         survivors = [
             a for a in candidates if a[0] == p.g - p.r and a[-1] == p.g + p.r
         ]
-        closed = prym_limit_vanishing_ramified(p.g, p.r)
+    closed = _centered(p.degree // 2, p.r)
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"{p.flavor} g={p.g} r={p.r}: expected a unique survivor, "

@@ -30,9 +30,8 @@ from .errors import (
 
 UNRAMIFIED_PM = "unramified_pm"
 RAMIFIED_TWISTED = "ramified_twisted"
-FLAVORS = (UNRAMIFIED_PM, RAMIFIED_TWISTED)
 
-THETA_PRIME = "theta_prime"
+THETA_PRIME = "theta'"
 XI = "xi"
 GENERATORS = (THETA_PRIME, XI)
 
@@ -50,6 +49,11 @@ class PrymSpace:
     k: int
     dim: int
     theta_top: Optional[int]
+
+    @property
+    def generator(self) -> str:
+        """The ring generator: xi on P+/P-, theta' on the twisted torsor."""
+        return XI if self.flavor == UNRAMIFIED_PM else THETA_PRIME
 
 
 @dataclass(frozen=True)
@@ -75,32 +79,27 @@ class ThetaClass:
             object.__setattr__(self, "exponent", 0)
 
     def __str__(self) -> str:
-        name = "theta'" if self.generator == THETA_PRIME else "xi"
-        return f"{self.coeff} * {name}^{self.exponent}"
+        return f"{self.coeff} * {self.generator}^{self.exponent}"
+
+
+# (flavor, k) -> (dimension - g, top self-intersection at genus g); None
+# where the top degree is not known.
+_SPACES = {
+    (UNRAMIFIED_PM, 0): (-1, lambda g: math.factorial(g - 1)),
+    (RAMIFIED_TWISTED, 0): (-1, None),
+    (RAMIFIED_TWISTED, 1): (0, lambda g: 2**g * math.factorial(g)),
+    (RAMIFIED_TWISTED, 2): (1, lambda g: 2**g * math.factorial(g + 1)),
+}
 
 
 def make_space(flavor: str, g: int, k: int) -> PrymSpace:
     """Build the torsor for a genus-g base curve with 2k branch points."""
-    if flavor not in FLAVORS:
-        raise ParameterError(f"unknown flavor {flavor!r}")
+    if (flavor, k) not in _SPACES:
+        raise ParameterError(f"no {flavor!r} torsor with k = {k}")
     if g < 2:
         raise ParameterError(f"genus must be at least 2, got {g}")
-    if k not in (0, 1, 2):
-        raise ParameterError(f"k must be 0, 1 or 2, got {k}")
-
-    if flavor == UNRAMIFIED_PM:
-        if k != 0:
-            raise ParameterError("the P+/P- torsor requires k = 0")
-        return PrymSpace(flavor, g, k, dim=g - 1, theta_top=math.factorial(g - 1))
-
-    if k == 1:
-        return PrymSpace(flavor, g, k, dim=g, theta_top=2**g * math.factorial(g))
-    if k == 2:
-        return PrymSpace(
-            flavor, g, k, dim=g + 1, theta_top=2**g * math.factorial(g + 1)
-        )
-    # k == 0: dimension is known, the top degree is not.
-    return PrymSpace(flavor, g, k, dim=g - 1, theta_top=None)
+    shift, top = _SPACES[flavor, k]
+    return PrymSpace(flavor, g, k, g + shift, None if top is None else top(g))
 
 
 def multiply(a: ThetaClass, b: ThetaClass) -> ThetaClass:
@@ -112,13 +111,9 @@ def multiply(a: ThetaClass, b: ThetaClass) -> ThetaClass:
     return ThetaClass(a.coeff * b.coeff, a.exponent + b.exponent, a.generator)
 
 
-def _generator_for(space: PrymSpace) -> str:
-    return XI if space.flavor == UNRAMIFIED_PM else THETA_PRIME
-
-
 def degree(c: ThetaClass, s: PrymSpace) -> Fraction:
     """Evaluate a top-dimensional class against the calibrated top degree."""
-    if c.generator != _generator_for(s):
+    if c.generator != s.generator:
         raise GeneratorMismatchError(
             f"generator {c.generator} does not live on a {s.flavor} torsor"
         )

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from . import formulas, lagrangian, limit_series, theta_ring
 from .bn_numerics import VanishingSequence, expected_dim_V
 from .errors import PrymBNError
-from .lagrangian import StrictPartition, staircase
+from .lagrangian import StrictPartition
 from .limit_series import (
     RAMIFIED_X_PLUS_Y,
     UNRAMIFIED_DELTA1,
@@ -102,8 +102,7 @@ def suite_pointed_equivalence(max_weight: int = 24) -> Iterator[Optional[str]]:
 def suite_staircase_relation(max_r: int = 6) -> Iterator[Optional[str]]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
     for r in range(max_r + 1):
-        lam = staircase(r + 1)
-        engine = lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
+        engine = lagrangian.lagrangian_class_twisted(r)
         closed = formulas.twisted_class(r)
         want = 2 ** (r + 1) * closed.coeff
         ok = engine.coeff == want and engine.exponent == closed.exponent
@@ -114,10 +113,7 @@ def suite_staircase_relation(max_r: int = 6) -> Iterator[Optional[str]]:
 def suite_unramified_reproduction(max_r: int = 8) -> Iterator[Optional[str]]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
     for r in range(1, max_r + 1):
-        lam = staircase(r)
-        engine = theta_ring.substitute_theta_prime_as_2xi(
-            lagrangian.p_tilde(lam, formulas.chern_series_W(lam.weight))
-        )
+        engine = lagrangian.lagrangian_class_unramified(r)
         closed = formulas.unramified_class(r)
         yield None if engine == closed else f"r={r}: engine {engine}, closed form {closed}"
 
@@ -147,7 +143,10 @@ def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
 @_suite("limit_solver")
 def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str]]:
     """solve_unique agrees with the closed forms wherever s >= 0."""
-    for flavor in (UNRAMIFIED_DELTA1, RAMIFIED_X_PLUS_Y):
+    for flavor, closed_form in (
+        (UNRAMIFIED_DELTA1, limit_series.prym_limit_vanishing),
+        (RAMIFIED_X_PLUS_Y, limit_series.prym_limit_vanishing_ramified),
+    ):
         for g in range(2, max_g + 1):
             for r in range(max_r + 1):
                 p = LimitProblem(flavor, g, r)
@@ -158,10 +157,7 @@ def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str
                 except PrymBNError as exc:
                     yield f"{flavor} g={g} r={r}: {exc}"
                     continue
-                if flavor == UNRAMIFIED_DELTA1:
-                    closed = limit_series.prym_limit_vanishing(g, r)
-                else:
-                    closed = limit_series.prym_limit_vanishing_ramified(g, r)
+                closed = closed_form(g, r)
                 yield None if solved == closed else (
                     f"{flavor} g={g} r={r}: {solved.entries} != {closed.entries}"
                 )
@@ -188,9 +184,8 @@ def suite_degree_table(max_g: int = 30) -> Iterator[Optional[str]]:
                           (theta_ring.RAMIFIED_TWISTED, 1),
                           (theta_ring.RAMIFIED_TWISTED, 2)):
             space = theta_ring.make_space(flavor, g, k)
-            gen = theta_ring.XI if flavor == theta_ring.UNRAMIFIED_PM else theta_ring.THETA_PRIME
             top = theta_ring.degree(
-                theta_ring.ThetaClass(Fraction(1), space.dim, gen), space
+                theta_ring.ThetaClass(Fraction(1), space.dim, space.generator), space
             )
             yield None if top == space.theta_top else f"{flavor} g={g} k={k}: {top}"
 

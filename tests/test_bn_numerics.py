@@ -199,7 +199,8 @@ class TestDivisorTwists:
                         expected_dim_V_divisor(g, k, r, 0).value
                         == expected_dim_V(g, k, r).value
                     )
-                    assert (
-                        expected_dim_V_eta_divisor(g, k, r, 0).value
-                        == expected_dim_V_eta(g, k, r).value
+                    twisted = expected_dim_V_eta_divisor(g, k, r, 0)
+                    base = expected_dim_V_eta(g, k, r)
+                    assert (twisted.value, twisted.exactness, twisted.emptiness) == (
+                        base.value, base.exactness, base.emptiness
                     )

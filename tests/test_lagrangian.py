@@ -18,6 +18,8 @@ from prymbn.lagrangian import (
     StrictPartition,
     eval_identity,
     lagrangian_class_pointed,
+    lagrangian_class_twisted,
+    lagrangian_class_unramified,
     p_tilde,
     partition_for,
     q_tilde,
@@ -151,6 +153,10 @@ class TestPTilde:
             )
             assert engine == unramified_class(r)
 
+    @pytest.mark.parametrize("r", range(9))
+    def test_unramified_engine_class(self, r):
+        assert lagrangian_class_unramified(r) == unramified_class(r)
+
 
 class TestPointedClass:
     def test_partition_mapping(self):
@@ -175,6 +181,11 @@ class TestStaircaseRelation:
             lam = staircase(r + 1)
             engine = q_tilde(lam, chern_series_W(lam.weight))
             assert engine.coeff == 2 ** (r + 1) * twisted_class(r).coeff
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_twisted_engine_class_is_pointed_at_0_to_r(self, r):
+        pointed = lagrangian_class_pointed(VanishingSequence(tuple(range(r + 1))))
+        assert lagrangian_class_twisted(r) == pointed
 
 
 class TestNegativeControl:
