@@ -170,13 +170,12 @@ def _cmd_limits(args) -> Dict[str, Any]:
     if problem.s < 0:
         result: Dict[str, Any] = {"empty": True, "s": problem.s}
         return _record("limits", params, result, citations)
-    solution = solve_unique(problem)
+    candidates = enumerate_candidates(problem) if args.show_candidates else None
+    solution = solve_unique(problem, candidates)
     result = {"empty": False, "s": problem.s, "solution": list(solution.entries)}
     if args.show_candidates:
         params["show_candidates"] = True
-        result["candidates"] = [
-            list(a.entries) for a in enumerate_candidates(problem)
-        ]
+        result["candidates"] = [list(a.entries) for a in candidates]
     return _record("limits", params, result, citations)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
 from .errors import InvariantViolationError, ParameterError
@@ -169,14 +169,21 @@ def _endpoint_filter_unramified(g: int, r: int, a: VanishingSequence) -> bool:
     return True
 
 
-def solve_unique(p: LimitProblem) -> VanishingSequence:
-    """Filter the candidate list down to the proven unique solution."""
+def solve_unique(
+    p: LimitProblem, candidates: Optional[List[VanishingSequence]] = None
+) -> VanishingSequence:
+    """Filter the candidate list down to the proven unique solution.
+
+    ``candidates`` is ``enumerate_candidates(p)`` when the caller already
+    has it; by default it is enumerated here.
+    """
     if p.s < 0:
         raise ParameterError(f"no solution: s = {p.s} < 0")
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
 
-    candidates = enumerate_candidates(p)
+    if candidates is None:
+        candidates = enumerate_candidates(p)
     if p.flavor == UNRAMIFIED_DELTA1:
         survivors = [
             a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)

@@ -79,7 +79,7 @@ def _suite(name: str):
 
 @_suite("engine_oracle")
 def suite_engine_oracle(max_weight: int = 24) -> Iterator[Optional[str]]:
-    """Pfaffian recursion against the closed product formula."""
+    """Pfaffian engine (skew elimination) against the closed product formula."""
     for lam in strict_partitions(max_weight):
         engine = lagrangian.q_tilde(lam, formulas.chern_series_W(lam.weight))
         oracle = lagrangian.eval_identity(lam)

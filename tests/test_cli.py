@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymbn import cli, formulas
+from prymbn import cli, formulas, limit_series
 
 
 def run_cli(*args):
@@ -116,6 +116,15 @@ class TestClass:
         rec = run_json("class", "--locus", "V_unramified", "--r", "3", "--engine")
         assert rec["result"]["engine_agrees"] is True
 
+    def test_unramified_engine_at_rank_40(self):
+        # The Laplace recursion never finished here (39!! terms).
+        rec = run_json("class", "--locus", "V_unramified", "--r", "40", "--engine")
+        assert rec["result"]["engine_agrees"] is True
+
+    def test_v_eta_engine_ratio_at_rank_40(self):
+        rec = run_json("class", "--locus", "V_eta", "--r", "40", "--engine")
+        assert rec["result"]["engine_ratio"] == 2**41
+
     @pytest.mark.parametrize(
         "args,flag",
         [
@@ -174,6 +183,18 @@ class TestLimits:
         )
         assert rec["result"]["solution"] == [3, 5]
         assert rec["result"]["candidates"] == [[0, 8], [1, 7], [2, 6], [3, 5]]
+
+    def test_show_candidates_enumerates_once(self, monkeypatch):
+        calls, original = [], limit_series.enumerate_candidates
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(limit_series, "enumerate_candidates", counted)
+        monkeypatch.setattr(cli, "enumerate_candidates", counted)
+        run_json("limits", "--flavor", "unramified", "--g", "5", "--r", "1", "--show-candidates")
+        assert len(calls) == 1
 
     def test_ramified(self):
         rec = run_json("limits", "--flavor", "ramified", "--g", "5", "--r", "1")

@@ -29,6 +29,46 @@ from prymbn.lagrangian import (
 from prymbn.theta_ring import substitute_theta_prime_as_2xi
 
 
+def laplace_pfaffian(parts, entry):
+    """First-row Laplace expansion of the Pfaffian of entry(p, q) over parts.
+
+    (n-1)!! terms for n parts: the reference the engine's elimination is
+    checked against on small partitions.
+    """
+    if not parts:
+        return Fraction(1)
+    return sum(
+        (-1) ** (i - 1)
+        * entry(parts[0], parts[i])
+        * laplace_pfaffian(parts[1:i] + parts[i + 1 :], entry)
+        for i in range(1, len(parts))
+    )
+
+
+def laplace_q_tilde(lam, c):
+    """Q-tilde from the two-row classes q_two alone, by Laplace expansion."""
+    parts = lam.parts + (0,) * (lam.length % 2)
+    return laplace_pfaffian(parts, lambda a, b: q_two(a, b, c).coeff)
+
+
+@st.composite
+def strict_partitions_to_weight(draw, max_weight):
+    """Distinct parts, small ones favoured, each kept while the weight stays <= max_weight."""
+    drawn = draw(
+        st.lists(
+            st.integers(1, 12) | st.integers(1, max_weight),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    parts = []
+    for p in drawn:
+        if sum(parts) + p <= max_weight:
+            parts.append(p)
+    return StrictPartition(tuple(sorted(parts, reverse=True)))
+
+
 class TestStrictPartition:
     def test_derived_values(self):
         lam = StrictPartition.of(5, 3, 1)
@@ -116,6 +156,36 @@ class TestQTilde:
             assert q_tilde(lam, c, expand_row=row) == base
 
 
+class TestLaplaceOracle:
+    # Chern data drawn mostly from {0, +-1, 2} makes zero pivots common: a
+    # two-row class that vanishes forces a row swap, a vanishing row a zero.
+    @given(st.sets(st.integers(1, 11), min_size=1, max_size=7), st.data())
+    def test_engine_matches_laplace_expansion(self, parts, data):
+        lam = StrictPartition(tuple(sorted(parts, reverse=True)))
+        tail = data.draw(
+            st.lists(
+                st.sampled_from((0, 1, -1, 2)) | st.integers(-4, 4),
+                min_size=lam.weight,
+                max_size=lam.weight,
+            )
+        )
+        c = ChernSeries((1, *tail))
+        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        # Only c_3 = 1 besides c_0: Q_(3,2) = Q_(3,1) = 0, so elimination
+        # must pivot on Q_(3,0) = 1; the Pfaffian is Q_(3,0) Q_(2,1) = -2.
+        lam, c = StrictPartition.of(3, 2, 1), ChernSeries((1, 0, 0, 1, 0, 0, 0))
+        assert q_two(3, 2, c).coeff == 0
+        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == -2
+
+    def test_zero_row_gives_zero(self):
+        # c_i = 0 for i >= 2 makes every Q_(4,b) vanish: row 0 is zero.
+        lam, c = StrictPartition.of(4, 2, 1), ChernSeries((1, 1, 0, 0, 0, 0, 0, 0))
+        assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
+        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
+
+
 class TestEvalIdentity:
     @pytest.mark.parametrize(
         "parts,value",
@@ -134,6 +204,16 @@ class TestEvalIdentity:
         for lam in verify.strict_partitions(18):
             engine = q_tilde(lam, chern_series_W(lam.weight))
             assert engine.coeff == eval_identity(lam)
+
+    @given(strict_partitions_to_weight(80))
+    def test_agrees_with_engine_to_weight_80(self, lam):
+        engine = q_tilde(lam, chern_series_W(lam.weight))
+        assert engine.coeff == eval_identity(lam)
+
+    def test_agrees_with_engine_at_staircase_40(self):
+        # Laplace expansion would take 39!! terms here; elimination is O(n^3).
+        lam = staircase(40)
+        assert q_tilde(lam, chern_series_W(lam.weight)).coeff == eval_identity(lam)
 
 
 class TestPTilde:
