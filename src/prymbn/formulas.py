@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Tuple
 
 from . import theta_ring
@@ -43,7 +45,8 @@ def chern_series_W(n: int) -> ChernSeries:
     """Chern series of the dual section bundle: c_i = theta'^i / i!."""
     if n < 0:
         raise ParameterError("truncation order must be non-negative")
-    return ChernSeries(tuple(Fraction(1, math.factorial(i)) for i in range(n + 1)))
+    factorials = accumulate(range(1, n + 1), mul, initial=1)
+    return ChernSeries(tuple(Fraction(1, f) for f in factorials))
 
 
 def twisted_class(r: int) -> ThetaClass:

@@ -10,16 +10,16 @@ orders of an aspect of a limit series at a node:
 * ``ramified_dual``: the norm-omega series on the same covers, obtained
   from ``ramified_x_plus_y`` at rank r+1 by Serre duality.
 
-``enumerate_candidates`` is a deliberately naive exhaustive search over the
-stated constraints and serves as the independent oracle for the closed
-forms; ``solve_unique`` applies the exactness filter of each degeneration
-argument and insists on a unique survivor.
+``enumerate_candidates`` generates exactly the sequences that meet the
+stated constraints, walking only prefixes that can still be completed; the
+tests check it against a naive walk over every (r+1)-subset, and the closed
+forms stay independent of both.  ``solve_unique`` applies the exactness
+filter of each degeneration argument and insists on a unique survivor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
@@ -125,48 +125,44 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
 
 
 def enumerate_candidates(p: LimitProblem) -> List[VanishingSequence]:
-    """All sequences surviving the complementarity, parity/gap and rho filters.
+    """All sequences meeting the sum, range [0, d] and parity/gap constraints.
 
-    Exhaustive over strictly increasing (r+1)-subsets of [0, d]; no pruning
-    beyond the stated constraints, so this stays an independent oracle.
+    For the two directly-posed problems the sum constraint is the
+    adjusted-rho condition rho_pointed = rho - sum(a_i - i) = s on both
+    aspects, which ``solve_unique`` re-checks on its survivor.  The walk
+    fixes a_0, a_1, ... left to right and visits only prefixes that can
+    still be completed, so the list comes out in lexicographic order.
     """
-    # Properties are read once here: a property read per subset is a
-    # large share of the loop's cost.
-    s, d, target = p.s, p.degree, p.target_sum
-    if s < 0:
+    if p.s < 0:
         return []
     out: List[VanishingSequence] = []
-    for entries in combinations(range(d + 1), p.r + 1):
-        if sum(entries) != target:
-            continue
-        if p.flavor == RAMIFIED_X_PLUS_Y:
-            if any(y - x < 2 for x, y in zip(entries, entries[1:])):
-                continue
-        else:
-            if len({e % 2 for e in entries}) > 1:
-                continue
-        a = VanishingSequence(entries)
-        b = complementary_vanishing(d, a)
-        if p.flavor != RAMIFIED_DUAL:
-            # For the two directly-posed problems the sum filter is the
-            # adjusted-rho condition; check it on both aspects explicitly.
-            if rho_pointed(p.component_genus, p.r, d, a) != s:
-                continue
-            if rho_pointed(p.component_genus, p.r, d, b) != s:
-                continue
-        out.append(a)
+    parity = p.flavor != RAMIFIED_X_PLUS_Y
+    _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, parity)
     return out
+
+
+def _extend(out: List[VanishingSequence], prefix: Tuple[int, ...], lo: int, step: int,
+            k: int, rest: int, d: int, parity: bool) -> None:
+    """Append each completion of ``prefix`` by k entries, the first in range(lo, d+1, step),
+    summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity."""
+    if k == 1:
+        if lo <= rest <= d and (rest - lo) % step == 0:
+            out.append(VanishingSequence(prefix + (rest,)))
+        return
+    # x, x+2, ... must not overshoot rest; x plus the k-1 top values must reach it.
+    start = max(lo, rest - (k - 1) * (d - k + 2))
+    start += (lo - start) % step
+    for x in range(start, (rest - k * (k - 1)) // k + 1, step):
+        top = d - (d - x) % 2 if parity else d
+        if x + (k - 1) * (top - k + 2) < rest or parity and (rest - k * x) % 2:
+            continue
+        _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
 
 
 def _endpoint_filter_unramified(g: int, r: int, a: VanishingSequence) -> bool:
     """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}."""
-    for i in range(r + 1):
-        order = a[r - i]
-        expected = g + r - 1 - order - i
-        actual = sum(1 for aj in a if aj >= order + 2)
-        if expected != actual:
-            return False
-    return True
+    return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
+               for i, order in enumerate(reversed(a.entries)))
 
 
 def solve_unique(
@@ -185,19 +181,20 @@ def solve_unique(
     if candidates is None:
         candidates = enumerate_candidates(p)
     if p.flavor == UNRAMIFIED_DELTA1:
-        survivors = [
-            a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)
-        ]
+        survivors = [a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)]
     else:
-        survivors = [
-            a for a in candidates if a[0] == p.g - p.r and a[-1] == p.g + p.r
-        ]
+        survivors = [a for a in candidates if a[0] == p.g - p.r and a[-1] == p.g + p.r]
     closed = _centered(p.degree // 2, p.r)
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"{p.flavor} g={p.g} r={p.r}: expected a unique survivor, "
             f"got {[list(a.entries) for a in survivors]}"
         )
+    for aspect in (survivors[0], complementary_vanishing(p.degree, survivors[0])):
+        if rho_pointed(p.component_genus, p.r, p.degree, aspect) != p.s:
+            raise InvariantViolationError(
+                f"{p.flavor} g={p.g} r={p.r}: adjusted rho of {aspect.entries} is not s = {p.s}"
+            )
     if survivors[0] != closed:
         raise InvariantViolationError(
             f"{p.flavor} g={p.g} r={p.r}: survivor {survivors[0].entries} "

@@ -196,6 +196,14 @@ class TestLimits:
         run_json("limits", "--flavor", "unramified", "--g", "5", "--r", "1", "--show-candidates")
         assert len(calls) == 1
 
+    def test_candidates_past_ten_million_subsets(self):
+        # C(47, 6) = 1.1e7 subsets; only the 6,225 candidates are generated.
+        rec = run_json(
+            "limits", "--flavor", "unramified", "--g", "24", "--r", "5", "--show-candidates"
+        )
+        assert len(rec["result"]["candidates"]) == 6225
+        assert rec["result"]["solution"] == [18, 20, 22, 24, 26, 28]
+
     def test_ramified(self):
         rec = run_json("limits", "--flavor", "ramified", "--g", "5", "--r", "1")
         assert rec["result"]["solution"] == [4, 6]

@@ -34,6 +34,11 @@ class TestChernSeries:
         q2 = chern_series_W(5)[2]
         assert (q2.numerator, q2.denominator) == (1, 2)
 
+    def test_incremental_factorials_match_literal_form(self):
+        literal = tuple(Fraction(1, math.factorial(i)) for i in range(301))
+        for n in range(301):
+            assert chern_series_W(n).coeffs == literal[: n + 1]
+
     def test_rejects_bad_leading_coeff(self):
         with pytest.raises(ParameterError):
             ChernSeries((Fraction(2), Fraction(1)))

@@ -1,10 +1,17 @@
+import gc
+from collections import defaultdict
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prymbn.bn_numerics import VanishingSequence, expected_dim_V
-from prymbn.errors import ParameterError
+from prymbn import limit_series
+from prymbn.bn_numerics import VanishingSequence, expected_dim_V, rho_pointed
+from prymbn.errors import InvariantViolationError, ParameterError
 from prymbn.limit_series import (
+    FLAVORS,
     RAMIFIED_DUAL,
     RAMIFIED_X_PLUS_Y,
     UNRAMIFIED_DELTA1,
@@ -19,6 +26,46 @@ from prymbn.limit_series import (
     solve_unique,
     w_locus_expected_dim,
 )
+
+
+def naive_candidates(p):
+    """Every strictly increasing (r+1)-subset of [0, d] passing the sum,
+    parity/gap and (for the directly-posed problems) both rho filters."""
+    s, d = p.s, p.degree
+    if s < 0:
+        return []
+    out = []
+    for entries in combinations(range(d + 1), p.r + 1):
+        if sum(entries) != p.target_sum:
+            continue
+        if p.flavor == RAMIFIED_X_PLUS_Y:
+            if any(y - x < 2 for x, y in zip(entries, entries[1:])):
+                continue
+        elif len({e % 2 for e in entries}) > 1:
+            continue
+        a = VanishingSequence(entries)
+        if p.flavor != RAMIFIED_DUAL and (
+            rho_pointed(p.component_genus, p.r, d, a) != s
+            or rho_pointed(p.component_genus, p.r, d, complementary_vanishing(d, a)) != s
+        ):
+            continue
+        out.append(a)
+    return out
+
+
+def dp_count(p):
+    """Number of strictly increasing (r+1)-tuples in [0, d] with the target
+    sum and the flavor's step rule, by dynamic programming over (last, sum)."""
+    step = 1 if p.flavor == RAMIFIED_X_PLUS_Y else 2
+    d, target = p.degree, p.target_sum
+    ends = {(x, x): 1 for x in range(d + 1)}
+    for _ in range(p.r):
+        longer = defaultdict(int)
+        for (x, total), n in ends.items():
+            for y in range(x + 2, min(d, target - total) + 1, step):
+                longer[y, total + y] += n
+        ends = longer
+    return sum(n for (_, total), n in ends.items() if total == target)
 
 
 class TestComplementaryVanishing:
@@ -122,6 +169,40 @@ class TestEnumerate:
             entries = [a.entries for a in got]
             assert entries == sorted(entries)
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_matches_naive_walk(self, flavor):
+        checked = 0
+        for g in range(1, 21):
+            for r in range(6):
+                p = LimitProblem(flavor, g, r)
+                if comb(p.degree + 1, r + 1) > 2 * 10**5:
+                    continue
+                assert enumerate_candidates(p) == naive_candidates(p), (flavor, g, r)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "flavor,expected", [(UNRAMIFIED_DELTA1, 6225), (RAMIFIED_X_PLUS_Y, 93844)]
+    )
+    def test_count_matches_dp_beyond_the_oracle(self, flavor, expected):
+        p = LimitProblem(flavor, 24, 5)
+        assert dp_count(p) == expected
+        assert len(enumerate_candidates(p)) == expected
+
+    def test_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for flavor in (RAMIFIED_X_PLUS_Y, UNRAMIFIED_DELTA1):
+                p = LimitProblem(flavor, 9, 2)
+                enumerate_candidates(p)
+                solve_unique(p)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_closed_form_is_always_a_candidate(self):
         for g in range(3, 10):
             for r in range(4):
@@ -151,6 +232,11 @@ class TestSolveUnique:
     def test_negative_s_raises(self):
         with pytest.raises(ParameterError):
             solve_unique(LimitProblem(UNRAMIFIED_DELTA1, 2, 2))
+
+    def test_rho_check_on_survivor_names_the_problem(self, monkeypatch):
+        monkeypatch.setattr(limit_series, "rho_pointed", lambda g, r, d, a: -1)
+        with pytest.raises(InvariantViolationError, match="ramified_x_plus_y g=5 r=1"):
+            solve_unique(LimitProblem(RAMIFIED_X_PLUS_Y, 5, 1))
 
     def test_oracle_agreement_sweep(self):
         for flavor, closed in (
