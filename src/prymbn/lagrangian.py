@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError
 from .formulas import ChernSeries, chern_series_W
-from .theta_ring import THETA_PRIME, XI, ThetaClass, substitute_theta_prime_as_2xi
+from .theta_ring import THETA_PRIME, ThetaClass, substitute_theta_prime_as_2xi
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class StrictPartition:
 
 
 def staircase(m: int) -> StrictPartition:
-    """The partition (m, m-1, ..., 1)."""
-    if m < 1:
-        raise ParameterError("staircase needs m >= 1")
+    """The partition (m, m-1, ..., 1); the empty partition for m = 0."""
+    if m < 0:
+        raise ParameterError("staircase needs m >= 0")
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
@@ -77,27 +77,22 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     return ThetaClass(_q2_coeff(a, b, c.coeffs), a + b, THETA_PRIME)
 
 
-def _pfaffian(parts: Tuple[int, ...], table: Dict[Tuple[int, int], Fraction]) -> Fraction:
-    """Pfaffian of the skew matrix m[i][j] = table[parts[i], parts[j]], exactly.
+def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
+    """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
-    Skew elimination in O(n^3) exact operations (Parlett-Reid; Wimmer, ACM
-    TOMS Alg. 923): rows k, k+1 form the pivot pair for k = 0, 2, 4, ....
-    The first nonzero entry of row k is brought to column k+1 by swapping
-    rows and columns, which flips the sign; a zero row makes the Pfaffian 0.
-    The pivot m[k][k+1] joins the product, and the rows and columns from
-    k+2 on are cleared of pair k, k+1 with the multipliers m[k][i] / pivot.
-    Only the upper triangle is stored and updated.
+    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer,
+    ACM TOMS Alg. 923); the 0x0 matrix gives 1.  For k = 0, 2, ... the first
+    nonzero entry of row k is swapped into column k+1 (a sign flip; a zero row
+    gives 0), the pivot m[k][k+1] joins the product, and pair k, k+1 is
+    cleared from the rows and columns k+2 on.
     """
-    n = len(parts)
-    m = [[None] * (i + 1) + [table[p, q] for q in parts[i + 1 :]] for i, p in enumerate(parts)]
-    sign = 1
+    n = len(m)
+    result, sign = Fraction(1), 1
     for k in range(0, n, 2):
         row, a = m[k], k + 1
-        b = a
-        while not row[b]:
-            b += 1
-            if b == n:
-                return Fraction(0)
+        b = next((j for j in range(a, n) if row[j]), None)
+        if b is None:
+            return Fraction(0)
         if b != a:
             row[a], row[b] = row[b], row[a]
             for t in range(a + 1, b):
@@ -107,7 +102,7 @@ def _pfaffian(parts: Tuple[int, ...], table: Dict[Tuple[int, int], Fraction]) ->
             m[a][b] = -m[a][b]
             sign = -sign
         pivot, pivot_row = row[a], m[a]
-        result = pivot if k == 0 else result * pivot
+        result *= pivot
         mult = [None] * (k + 2) + [row[i] / pivot for i in range(k + 2, n)]
         for i in range(k + 2, n):
             mi, ci, pi = m[i], mult[i], pivot_row[i]
@@ -116,31 +111,17 @@ def _pfaffian(parts: Tuple[int, ...], table: Dict[Tuple[int, int], Fraction]) ->
     return result if sign == 1 else -result
 
 
-def q_tilde(lam: StrictPartition, c: ChernSeries, expand_row: int = 0) -> ThetaClass:
-    """Schur Q-tilde class of a strict partition in the given Chern data.
+def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
+    """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
-    ``expand_row`` moves that row and column of the skew matrix to the
-    front before elimination, with the sign of that permutation; the result
-    is independent of the choice (exercised by the tests).
+    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.
+    Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
     """
-    _check_truncation(c, lam.weight)
-    parts = lam.parts
-    if len(parts) % 2 == 1:
-        parts = parts + (0,)  # padding part: Q_(a,0) = c_a
-    if not 0 <= expand_row < len(parts):
-        raise ParameterError(f"row {expand_row} out of range for {parts}")
-    # The skew matrix Q_(a,b) = -Q_(b,a), built once; parts are distinct.
-    table = {}
-    for i, a in enumerate(parts):
-        for b in parts[i + 1 :]:
-            table[a, b] = _q2_coeff(a, b, c.coeffs)
-            table[b, a] = -table[a, b]
-    # Moving row and column i to the front is conjugation by a cycle of
-    # sign (-1)^i, which scales the Pfaffian by that sign.
-    reordered = (parts[expand_row],) + parts[:expand_row] + parts[expand_row + 1 :]
-    sign = -1 if expand_row % 2 == 1 else 1
-    coeff = sign * _pfaffian(reordered, table)
-    return ThetaClass(coeff, lam.weight, THETA_PRIME)
+    parts = lam.parts + (0,) * (lam.length % 2)
+    _check_truncation(c, sum(parts[:2]))
+    m = [[None] * (i + 1) + [_q2_coeff(a, b, c.coeffs) for b in parts[i + 1 :]]
+         for i, a in enumerate(parts)]
+    return ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME)
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
@@ -154,24 +135,28 @@ def partition_for(a: VanishingSequence) -> StrictPartition:
     return StrictPartition(tuple(ai + 1 for ai in reversed(a.entries)))
 
 
+def _at_W(f: Callable[..., ThetaClass], lam: StrictPartition) -> ThetaClass:
+    """f(lam, c), c_i = theta'^i/i! up to lambda_1 + lambda_2: as far as q_tilde reads."""
+    return f(lam, chern_series_W(sum(lam.parts[:2])))
+
+
 def lagrangian_class_pointed(a: VanishingSequence) -> ThetaClass:
     """Engine value of the pointed twisted class: Q-tilde at c_i = theta'^i/i!."""
-    lam = partition_for(a)
-    return q_tilde(lam, chern_series_W(lam.weight))
+    return _at_W(q_tilde, partition_for(a))
 
 
 def lagrangian_class_twisted(r: int) -> ThetaClass:
     """Engine value of the twisted class: Q-tilde at the staircase of length r+1."""
-    lam = staircase(r + 1)
-    return q_tilde(lam, chern_series_W(lam.weight))
+    if r < 0:
+        raise ParameterError("rank must be non-negative")
+    return _at_W(q_tilde, staircase(r + 1))
 
 
 def lagrangian_class_unramified(r: int) -> ThetaClass:
-    """Engine value of the P+/P- class: P-tilde at staircase(r) in xi; 1 if r < 1."""
-    if r < 1:
-        return ThetaClass(Fraction(1), 0, XI)
-    lam = staircase(r)
-    return substitute_theta_prime_as_2xi(p_tilde(lam, chern_series_W(lam.weight)))
+    """Engine value of the P+/P- class: P-tilde at staircase(r) in xi (1 at r = 0)."""
+    if r < 0:
+        raise ParameterError("rank must be non-negative")
+    return substitute_theta_prime_as_2xi(_at_W(p_tilde, staircase(r)))
 
 
 def eval_identity(lam: StrictPartition) -> Fraction:

@@ -26,7 +26,7 @@ from prymbn.lagrangian import (
     q_two,
     staircase,
 )
-from prymbn.theta_ring import substitute_theta_prime_as_2xi
+from prymbn.theta_ring import ThetaClass, substitute_theta_prime_as_2xi
 
 
 def laplace_pfaffian(parts, entry):
@@ -83,6 +83,11 @@ class TestStrictPartition:
     def test_staircase(self):
         assert staircase(4).parts == (4, 3, 2, 1)
 
+    def test_staircase_zero_is_empty(self):
+        assert staircase(0).parts == ()
+        with pytest.raises(ParameterError):
+            staircase(-1)
+
 
 class TestQTwo:
     def test_single_part_is_chern_class(self):
@@ -126,46 +131,35 @@ class TestQTilde:
             got = q_tilde(lam, chern_series_W(lam.weight))
             assert got.exponent == lam.weight
 
-    def test_expansion_row_independence(self):
-        for lam in verify.strict_partitions(16):
-            c = chern_series_W(lam.weight)
-            base = q_tilde(lam, c)
-            rows = lam.length + (lam.length % 2)
-            for row in range(1, rows):
-                assert q_tilde(lam, c, expand_row=row) == base
-
-    def test_expansion_row_independence_off_lagrangian_data(self):
-        # Q_(1,3) read off the skew table is -Q_(3,1), not the formula at (1,3).
+    def test_skew_entry_off_lagrangian_data(self):
+        # The matrix holds only Q_(a,b) for a > b: here Q_(3,1) = -1, not the
+        # formula read at (1,3).
         lam, c = StrictPartition.of(3, 1), ChernSeries((1, 1, 1, 1, 1))
         assert q_tilde(lam, c).coeff == -1
-        assert q_tilde(lam, c, expand_row=1).coeff == -1
 
-    @given(st.sets(st.integers(1, 9), min_size=1, max_size=6), st.data())
-    def test_expansion_row_independence_any_chern_series(self, parts, data):
-        lam = StrictPartition(tuple(sorted(parts, reverse=True)))
-        tail = data.draw(
-            st.lists(
-                st.integers(-3, 3),
-                min_size=lam.weight,
-                max_size=lam.weight,
-            )
-        )
-        c = ChernSeries((1, *tail))
-        base = q_tilde(lam, c)
-        for row in range(1, lam.length + (lam.length % 2)):
-            assert q_tilde(lam, c, expand_row=row) == base
+    def test_empty_partition_is_one(self):
+        lam, c = StrictPartition(()), chern_series_W(0)
+        assert q_tilde(lam, c) == p_tilde(lam, c) == ThetaClass(1, 0)
+
+    def test_truncation_needs_only_the_first_two_parts(self):
+        # Q_(a,b) reads c up to a + b, so staircase(5) needs order 5 + 4, not 15.
+        lam = staircase(5)
+        assert q_tilde(lam, chern_series_W(9)) == q_tilde(lam, chern_series_W(15))
+        with pytest.raises(ParameterError):
+            q_tilde(lam, chern_series_W(8))
 
 
 class TestLaplaceOracle:
     # Chern data drawn mostly from {0, +-1, 2} makes zero pivots common: a
     # two-row class that vanishes forces a row swap, a vanishing row a zero.
+    # The tail runs from lambda_1 + lambda_2, the shortest q_tilde accepts, to |lambda|.
     @given(st.sets(st.integers(1, 11), min_size=1, max_size=7), st.data())
     def test_engine_matches_laplace_expansion(self, parts, data):
         lam = StrictPartition(tuple(sorted(parts, reverse=True)))
         tail = data.draw(
             st.lists(
                 st.sampled_from((0, 1, -1, 2)) | st.integers(-4, 4),
-                min_size=lam.weight,
+                min_size=sum(lam.parts[:2]),
                 max_size=lam.weight,
             )
         )
@@ -237,6 +231,10 @@ class TestPTilde:
     def test_unramified_engine_class(self, r):
         assert lagrangian_class_unramified(r) == unramified_class(r)
 
+    def test_unramified_engine_refuses_negative_rank(self):
+        with pytest.raises(ParameterError, match="rank must be non-negative"):
+            lagrangian_class_unramified(-1)
+
 
 class TestPointedClass:
     def test_partition_mapping(self):
@@ -266,6 +264,10 @@ class TestStaircaseRelation:
     def test_twisted_engine_class_is_pointed_at_0_to_r(self, r):
         pointed = lagrangian_class_pointed(VanishingSequence(tuple(range(r + 1))))
         assert lagrangian_class_twisted(r) == pointed
+
+    def test_twisted_engine_refuses_negative_rank(self):
+        with pytest.raises(ParameterError, match="rank must be non-negative"):
+            lagrangian_class_twisted(-1)
 
 
 class TestNegativeControl:

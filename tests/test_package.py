@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import prymbn
+
+_FLOAT_MATH = {"sqrt", "log", "exp", "pow", "fsum"}
 
 
 def test_star_import_binds_only_package_objects():
@@ -11,3 +15,21 @@ def test_star_import_binds_only_package_objects():
     for name, obj in namespace.items():
         assert not isinstance(obj, types.ModuleType), name
         assert obj.__module__.startswith("prymbn."), name
+
+
+def test_package_source_is_float_free():
+    # Arithmetic stays exact: no float or complex literal, no float()/complex(),
+    # and none of the math functions that return floats.
+    sources = sorted(Path(prymbn.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            elif isinstance(node, ast.Name):
+                assert node.id not in ("float", "complex"), where
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in _FLOAT_MATH, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert not {a.name for a in node.names} & _FLOAT_MATH, where
