@@ -18,7 +18,7 @@ from typing import Tuple
 from . import theta_ring
 from .bn_numerics import VanishingSequence
 from .errors import IntegralityError, ParameterError
-from .theta_ring import THETA_PRIME, XI, PrymSpace, ThetaClass
+from .theta_ring import THETA_PRIME, XI, PrymSpace, ThetaClass, _rational
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ChernSeries:
     coeffs: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(q) for q in self.coeffs)
+        coeffs = tuple(map(_rational, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ParameterError("a Chern series must start with q_0 = 1")

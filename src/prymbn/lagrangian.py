@@ -1,11 +1,13 @@
 """Schur Q-tilde / P-tilde Pfaffian engine for Lagrangian degeneracy classes.
 
-The two-row classes Q_(a,b) are built directly from the Chern data; a longer
-strict partition gives the Pfaffian of its skew matrix of two-row classes,
-computed exactly by skew elimination.  Evaluated at the Chern series
-c_i = theta'^i/i!, the engine independently reproduces the closed-form
-coefficients in ``formulas``; the product formula ``eval_identity`` serves as
-a second, Pfaffian-free oracle.
+The two-row classes Q_(a,b) are integer sums over one common denominator:
+with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
+integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
+rational Chern data.  A longer strict partition gives the Pfaffian of its skew
+matrix of two-row classes, computed exactly by skew elimination over Fraction.
+Evaluated at c_i = theta'^i/i!, the engine independently reproduces the
+closed-form coefficients in ``formulas``; the product formula ``eval_identity``
+serves as a second, Pfaffian-free oracle.
 """
 
 from __future__ import annotations
@@ -55,26 +57,33 @@ def staircase(m: int) -> StrictPartition:
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
-def _check_truncation(c: ChernSeries, needed: int) -> None:
-    if c.truncation < needed:
-        raise ParameterError(
-            f"Chern series truncated at {c.truncation}, need order {needed}"
-        )
+def _numerators(c: ChernSeries, top: int) -> Tuple[List[int], int]:
+    """(n, D^2), D = lcm of the denominators of c_0..c_top (refused if c stops sooner):
+    the integers n_i = c_i D and the one denominator of every Q_(a,b), a + b <= top."""
+    if c.truncation < top:
+        raise ParameterError(f"Chern series truncated at {c.truncation}, need order {top}")
+    coeffs = c.coeffs[: top + 1]
+    d = math.lcm(*(q.denominator for q in coeffs))
+    return [q.numerator * (d // q.denominator) for q in coeffs], d * d
 
 
-def _q2_coeff(a: int, b: int, coeffs: Tuple[Fraction, ...]) -> Fraction:
-    total = coeffs[a] * coeffs[b]
+def _q2_coeff(a: int, b: int, n: List[int]) -> int:
+    """Q_(a,b) D^2 = n_a n_b + 2 sum_{j=1}^{b} (-1)^j n_{a+j} n_{b-j}, for n_i = c_i D."""
+    total = n[a] * n[b]
     for j in range(1, b + 1):
-        total += 2 * (-1) ** j * coeffs[a + j] * coeffs[b - j]
+        total += 2 * (-1) ** j * n[a + j] * n[b - j]
     return total
 
 
 def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
-    """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}."""
+    """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}.
+
+    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators).
+    """
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
-    _check_truncation(c, a + b)
-    return ThetaClass(_q2_coeff(a, b, c.coeffs), a + b, THETA_PRIME)
+    n, d2 = _numerators(c, a + b)
+    return ThetaClass(Fraction(_q2_coeff(a, b, n), d2), a + b, THETA_PRIME)
 
 
 def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
@@ -116,10 +125,11 @@ def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
 
     Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
+    Every entry is an integer sum over one common denominator D^2 (see _numerators).
     """
     parts = lam.parts + (0,) * (lam.length % 2)
-    _check_truncation(c, sum(parts[:2]))
-    m = [[None] * (i + 1) + [_q2_coeff(a, b, c.coeffs) for b in parts[i + 1 :]]
+    n, d2 = _numerators(c, sum(parts[:2]))
+    m = [[None] * (i + 1) + [Fraction(_q2_coeff(a, b, n), d2) for b in parts[i + 1 :]]
          for i, a in enumerate(parts)]
     return ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME)
 

@@ -17,6 +17,7 @@ top self-intersection; degree queries on it fail loudly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -56,6 +57,13 @@ class PrymSpace:
         return XI if self.flavor == UNRAMIFIED_PM else THETA_PRIME
 
 
+def _rational(q: object) -> Fraction:
+    """q as a Fraction; floats, strings and Decimals are refused, not rounded."""
+    if not isinstance(q, numbers.Rational):
+        raise ParameterError(f"coefficient must be an int or a Fraction, got {q!r}")
+    return Fraction(q)
+
+
 @dataclass(frozen=True)
 class ThetaClass:
     """An exact rational multiple of a power of the ring generator.
@@ -69,7 +77,7 @@ class ThetaClass:
     generator: str = THETA_PRIME
 
     def __post_init__(self) -> None:
-        coeff = Fraction(self.coeff)
+        coeff = _rational(self.coeff)
         object.__setattr__(self, "coeff", coeff)
         if self.generator not in GENERATORS:
             raise ParameterError(f"unknown generator {self.generator!r}")

@@ -253,6 +253,23 @@ class TestVerify:
         assert res.passed is False
         assert res.counterexample.startswith("lambda=(4,):")
 
+    def test_engine_oracle_builds_one_chern_series(self, monkeypatch):
+        # Every partition reads a prefix of the one series at the bound.
+        from prymbn import verify as verify_mod
+
+        calls = []
+        real = formulas.chern_series_W
+        monkeypatch.setattr(formulas, "chern_series_W", lambda n: calls.append(n) or real(n))
+        res = verify_mod.suite_engine_oracle(24)
+        assert (res.passed, res.cases, calls) == (True, 761, [24])
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_engine_oracle_vacuous_below_one(self, bound):
+        from prymbn import verify as verify_mod
+
+        res = verify_mod.suite_engine_oracle(bound)
+        assert (res.cases, res.passed) == (0, True)
+
 
 class TestFormats:
     def test_csv_round_trip(self):

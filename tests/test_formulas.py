@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,12 @@ class TestChernSeries:
     def test_rejects_bad_leading_coeff(self):
         with pytest.raises(ParameterError):
             ChernSeries((Fraction(2), Fraction(1)))
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1")])
+    def test_rejects_inexact_coeff(self, bad):
+        # A float would be stored as its binary value, a str or Decimal parsed: all refused.
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            ChernSeries((1, bad))
 
 
 class TestTwistedClass:

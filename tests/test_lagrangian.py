@@ -45,6 +45,17 @@ def laplace_pfaffian(parts, entry):
     )
 
 
+def literal_q2(a, b, c):
+    """Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}, term by term in Fraction.
+
+    The reference for the engine's integer sums over one common denominator.
+    """
+    total = c[a] * c[b]
+    for j in range(1, b + 1):
+        total += 2 * (-1) ** j * c[a + j] * c[b - j]
+    return total
+
+
 def laplace_q_tilde(lam, c):
     """Q-tilde from the two-row classes q_two alone, by Laplace expansion."""
     parts = lam.parts + (0,) * (lam.length % 2)
@@ -178,6 +189,24 @@ class TestLaplaceOracle:
         lam, c = StrictPartition.of(4, 2, 1), ChernSeries((1, 1, 0, 0, 0, 0, 0, 0))
         assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
+
+
+class TestRationalChernData:
+    # Denominators up to 12 make D, the lcm of the denominators, other than 1,
+    # so the integer numerators c_i D and the one division by D^2 are exercised.
+    @given(
+        st.sets(st.integers(1, 9), min_size=1, max_size=7),
+        st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)), min_size=17),
+    )
+    def test_integer_table_matches_literal_fractions(self, parts, tail):
+        lam = StrictPartition(tuple(sorted(parts, reverse=True)))
+        c = ChernSeries((1, *tail))
+        padded = lam.parts + (0,) * (lam.length % 2)
+        for i, a in enumerate(padded):
+            for b in padded[i + 1 :]:
+                assert q_two(a, b, c).coeff == literal_q2(a, b, c)
+        want = laplace_pfaffian(padded, lambda a, b: literal_q2(a, b, c))
+        assert q_tilde(lam, c).coeff == want
 
 
 class TestEvalIdentity:

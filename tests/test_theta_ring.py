@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,11 @@ class TestMakeSpace:
 class TestThetaClass:
     def test_zero_class_is_canonical(self):
         assert ThetaClass(Fraction(0), 5) == ThetaClass(Fraction(0), 0)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1")])
+    def test_rejects_inexact_coeff(self, bad):
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            ThetaClass(bad, 2)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ParameterError):
