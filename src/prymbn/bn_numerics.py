@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, _integers
 
 THEOREM_EXACT = "theorem_exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -30,7 +30,7 @@ class VanishingSequence:
     entries: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        entries = _integers("vanishing orders", *self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ParameterError("vanishing sequence must be non-empty")

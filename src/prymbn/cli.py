@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import bn_numerics, formulas, lagrangian, theta_ring, verify
 from .bn_numerics import VanishingSequence
@@ -49,16 +49,6 @@ def _parse_sequence(text: str) -> VanishingSequence:
         return VanishingSequence(tuple(int(t) for t in text.split(",")))
     except ValueError as exc:  # also the ParameterError of a bad sequence
         raise ParameterError(f"invalid vanishing sequence {text!r}: {exc}") from exc
-
-
-def _record(command: str, params: Dict[str, Any], result: Dict[str, Any],
-            citations: List[str]) -> Dict[str, Any]:
-    return {
-        "command": command,
-        "params": params,
-        "result": result,
-        "citations": citations,
-    }
 
 
 def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]:
@@ -114,15 +104,19 @@ _CLASS_LOCI = {
 }
 
 
-def _cmd_dim(args) -> Dict[str, Any]:
+# What a command returns: (params, result, citations); main makes the record.
+_Reply = Tuple[Dict[str, Any], Dict[str, Any], List[str]]
+
+
+def _cmd_dim(args) -> _Reply:
     flags, expected_dim = _DIM_LOCI[args.locus]
     params: Dict[str, Any] = {"locus": args.locus, "g": args.g, "k": args.k}
     rep = expected_dim(args.g, args.k, *_locus_args(args, flags, params))
     result = {"value": rep.value, "exactness": rep.exactness, "emptiness": rep.emptiness}
-    return _record("dim", params, result, [rep.source])
+    return params, result, [rep.source]
 
 
-def _cmd_class(args) -> Dict[str, Any]:
+def _cmd_class(args) -> _Reply:
     flags, closed_form, citation, engine_class, engine_citation = _CLASS_LOCI[args.locus]
     params: Dict[str, Any] = {"locus": args.locus}
     values = _locus_args(args, flags, params)
@@ -137,10 +131,10 @@ def _cmd_class(args) -> Dict[str, Any]:
         result["engine_agrees"] = engine == cls
         if engine.exponent == cls.exponent and cls.coeff != 0:
             result["engine_ratio"] = _rat(engine.coeff / cls.coeff)
-    return _record("class", params, result, citations)
+    return params, result, citations
 
 
-def _cmd_count(args) -> Dict[str, Any]:
+def _cmd_count(args) -> _Reply:
     params = {"g": args.g, "k": args.k, "r": args.r}
     if args.k not in (1, 2):
         raise ParameterError("counts are only calibrated for k = 1 or 2")
@@ -149,49 +143,36 @@ def _cmd_count(args) -> Dict[str, Any]:
         raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count")
     space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
     n = formulas.count_points(formulas.twisted_class(args.r), space)
-    return _record(
-        "count",
-        params,
-        {"count": n, "theta_top": space.theta_top},
-        ["cardinality of the zero-dimensional twisted locus"],
-    )
+    result = {"count": n, "theta_top": space.theta_top}
+    return params, result, ["cardinality of the zero-dimensional twisted locus"]
 
 
-_FLAVOR_MAP = {
-    "unramified": UNRAMIFIED_DELTA1,
-    "ramified": RAMIFIED_X_PLUS_Y,
-}
+_FLAVOR_MAP = {"unramified": UNRAMIFIED_DELTA1, "ramified": RAMIFIED_X_PLUS_Y}
 
 
-def _cmd_limits(args) -> Dict[str, Any]:
+def _cmd_limits(args) -> _Reply:
     params: Dict[str, Any] = {"flavor": args.flavor, "g": args.g, "r": args.r}
     problem = LimitProblem(_FLAVOR_MAP[args.flavor], args.g, args.r)
     citations = ["vanishing orders of aspects of Prym limit linear series"]
     if problem.s < 0:
-        result: Dict[str, Any] = {"empty": True, "s": problem.s}
-        return _record("limits", params, result, citations)
+        return params, {"empty": True, "s": problem.s}, citations
     candidates = enumerate_candidates(problem) if args.show_candidates else None
     solution = solve_unique(problem, candidates)
     result = {"empty": False, "s": problem.s, "solution": list(solution.entries)}
     if args.show_candidates:
         params["show_candidates"] = True
         result["candidates"] = [list(a.entries) for a in candidates]
-    return _record("limits", params, result, citations)
+    return params, result, citations
 
 
-def _cmd_verify(args) -> Dict[str, Any]:
+def _cmd_verify(args) -> _Reply:
     params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
     if min(params.values()) < 0:
         raise ParameterError("verification bounds must be non-negative")
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
     suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
-    return _record(
-        "verify",
-        params,
-        {"suites": suites, "all_passed": all_passed},
-        ["cross-module identity suites"],
-    )
+    return params, {"suites": suites, "all_passed": all_passed}, ["cross-module identity suites"]
 
 
 def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
@@ -287,13 +268,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        record = args.func(args)
+        params, result, citations = args.func(args)
     except InvariantViolationError as exc:
         print(f"pbn: invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
     except PrymBNError as exc:
         print(f"pbn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    record = {"command": args.subcommand, "params": params, "result": result,
+              "citations": citations}
     # Exact coefficients from about rank 68 on have more digits than the
     # default int-to-str limit (absent before Python 3.10.7): lift it while
     # rendering only.
@@ -306,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if limit:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(text)
-    if args.subcommand == "verify" and not record["result"]["all_passed"]:
+    if args.subcommand == "verify" and not result["all_passed"]:
         return INVARIANT_ERROR
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all prymbn modules."""
+"""Exception hierarchy shared by all prymbn modules, and the one integer check."""
+
+import operator
+from typing import Tuple
 
 
 class PrymBNError(Exception):
@@ -27,3 +30,12 @@ class IntegralityError(PrymBNError):
 
 class InvariantViolationError(PrymBNError):
     """An internal cross-check failed; signals a wrong constraint encoding."""
+
+
+def _integers(what: str, *values: object) -> Tuple[int, ...]:
+    """values as ints; a float, non-integral Fraction or str is refused, not truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ParameterError(f"expected an integer for {what}, got {bad!r}") from None

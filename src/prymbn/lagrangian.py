@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
-from .errors import ParameterError
+from .errors import ParameterError, _integers
 from .formulas import ChernSeries, chern_series_W
 from .theta_ring import THETA_PRIME, ThetaClass, substitute_theta_prime_as_2xi
 
@@ -30,7 +30,7 @@ class StrictPartition:
     parts: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = _integers("parts", *self.parts)
         object.__setattr__(self, "parts", parts)
         if any(p < 1 for p in parts):
             raise ParameterError(f"parts must be positive: {parts}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
-from .errors import InvariantViolationError, ParameterError
+from .errors import InvariantViolationError, ParameterError, _integers
 
 UNRAMIFIED_DELTA1 = "unramified_delta1"
 RAMIFIED_X_PLUS_Y = "ramified_x_plus_y"
@@ -40,8 +40,11 @@ class LimitProblem:
     def __post_init__(self) -> None:
         if self.flavor not in FLAVORS:
             raise ParameterError(f"unknown flavor {self.flavor!r}")
-        if self.g < 1 or self.r < 0:
+        g, r = _integers("g and r", self.g, self.r)
+        if g < 1 or r < 0:
             raise ParameterError("need g >= 1 and r >= 0")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
 
     @property
     def degree(self) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     GeneratorMismatchError,
     ParameterError,
     UnsupportedSpaceError,
+    _integers,
 )
 
 UNRAMIFIED_PM = "unramified_pm"
@@ -78,13 +79,13 @@ class ThetaClass:
 
     def __post_init__(self) -> None:
         coeff = _rational(self.coeff)
-        object.__setattr__(self, "coeff", coeff)
+        (exponent,) = _integers("the exponent", self.exponent)
         if self.generator not in GENERATORS:
             raise ParameterError(f"unknown generator {self.generator!r}")
-        if self.exponent < 0:
+        if exponent < 0:
             raise ParameterError("exponent must be non-negative")
-        if coeff == 0 and self.exponent != 0:
-            object.__setattr__(self, "exponent", 0)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exponent", exponent if coeff else 0)
 
     def __str__(self) -> str:
         return f"{self.coeff} * {self.generator}^{self.exponent}"

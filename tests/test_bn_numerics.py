@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +33,12 @@ class TestVanishingSequence:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ParameterError):
             VanishingSequence(bad)
+
+    @pytest.mark.parametrize("bad", [2.7, Fraction(7, 2), "2"])
+    def test_rejects_non_integer_order(self, bad):
+        # int() would truncate 2.7 and 7/2 and parse "2": all refused.
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            VanishingSequence((0, bad))
 
 
 class TestRho:

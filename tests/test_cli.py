@@ -263,6 +263,26 @@ class TestVerify:
         res = verify_mod.suite_engine_oracle(24)
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 
+    def test_pointed_equivalence_builds_one_chern_series(self, monkeypatch):
+        # lagrangian imports the name, so both bindings are counted.
+        from prymbn import lagrangian
+        from prymbn import verify as verify_mod
+
+        calls = []
+        real = formulas.chern_series_W
+        counted = lambda n: calls.append(n) or real(n)  # noqa: E731
+        monkeypatch.setattr(formulas, "chern_series_W", counted)
+        monkeypatch.setattr(lagrangian, "chern_series_W", counted)
+        res = verify_mod.suite_pointed_equivalence(24)
+        assert (res.passed, res.cases, calls) == (True, 761, [24])
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_pointed_equivalence_vacuous_below_one(self, bound):
+        from prymbn import verify as verify_mod
+
+        res = verify_mod.suite_pointed_equivalence(bound)
+        assert (res.cases, res.passed) == (0, True)
+
     @pytest.mark.parametrize("bound", [0, -1])
     def test_engine_oracle_vacuous_below_one(self, bound):
         from prymbn import verify as verify_mod

@@ -4,7 +4,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from prymbn import verify
 from prymbn.bn_numerics import VanishingSequence
 from prymbn.errors import IntegralityError, ParameterError
 from prymbn.formulas import (
@@ -22,6 +25,39 @@ from prymbn.theta_ring import (
     ThetaClass,
     make_space,
 )
+
+# The closed forms factor by factor, as reduced rationals: the oracle for the
+# one-ratio forms in formulas.  Rank 80 is past every staircase rank that
+# verify, the goldens and the benchmark decks use (V_eta below 68,
+# V_unramified below 76).
+LITERAL_MAX_R = 80
+
+
+def literal_twisted(r):
+    """prod_{i=1}^{r+1} i!/(2i)!."""
+    coeff = Fraction(1)
+    for i in range(1, r + 2):
+        coeff *= Fraction(math.factorial(i), math.factorial(2 * i))
+    return coeff
+
+
+def literal_unramified(r):
+    """2^(r(r+1)/2) * prod_{i=1}^{r} i!/(2i)!."""
+    coeff = Fraction(2) ** (r * (r + 1) // 2)
+    for i in range(1, r + 1):
+        coeff *= Fraction(math.factorial(i), math.factorial(2 * i))
+    return coeff
+
+
+def literal_pointed(entries):
+    """prod_i 1/(a_i+1)! * prod_{j<i} (a_i-a_j)/(a_i+a_j+2)."""
+    coeff = Fraction(1)
+    for ai in entries:
+        coeff /= math.factorial(ai + 1)
+    for i in range(len(entries)):
+        for j in range(i):
+            coeff *= Fraction(entries[i] - entries[j], entries[i] + entries[j] + 2)
+    return coeff
 
 
 class TestChernSeries:
@@ -66,11 +102,9 @@ class TestTwistedClass:
         assert cls == ThetaClass(coeff, exponent, THETA_PRIME)
 
     def test_coefficient_is_exact_product(self):
-        for r in range(8):
-            expected = Fraction(1)
-            for i in range(1, r + 2):
-                expected *= Fraction(math.factorial(i), math.factorial(2 * i))
-            assert twisted_class(r).coeff == expected
+        for r in range(LITERAL_MAX_R + 1):
+            cls = twisted_class(r)
+            assert (cls.coeff, cls.exponent) == (literal_twisted(r), (r + 1) * (r + 2) // 2)
 
 
 class TestTwistedPointedClass:
@@ -85,6 +119,20 @@ class TestTwistedPointedClass:
     def test_examples(self, entries, coeff, exponent):
         cls = twisted_pointed_class(VanishingSequence(entries))
         assert cls == ThetaClass(coeff, exponent, THETA_PRIME)
+
+    def test_coefficient_is_exact_product(self):
+        # every sequence the pointed_equivalence suite of verify checks by default
+        sequences = list(verify.vanishing_sequences(24))
+        assert len(sequences) == 761
+        for a in sequences:
+            cls = twisted_pointed_class(a)
+            assert (cls.coeff, cls.exponent) == (literal_pointed(a.entries), a.weight + a.r + 1)
+
+    @given(st.sets(st.integers(0, 20), min_size=1, max_size=13))
+    def test_coefficient_is_exact_product_on_long_sequences(self, orders):
+        # The benchmark decks send up to 13 orders, past weight 24.
+        entries = tuple(sorted(orders))
+        assert twisted_pointed_class(VanishingSequence(entries)).coeff == literal_pointed(entries)
 
     def test_exponent_matches_unpointed_on_trivial_sequence(self):
         for r in range(11):
@@ -107,6 +155,11 @@ class TestUnramifiedClass:
     )
     def test_examples(self, r, coeff, exponent):
         assert unramified_class(r) == ThetaClass(coeff, exponent, XI)
+
+    def test_coefficient_is_exact_product(self):
+        for r in range(LITERAL_MAX_R + 1):
+            cls = unramified_class(r)
+            assert (cls.coeff, cls.exponent) == (literal_unramified(r), r * (r + 1) // 2)
 
 
 class TestCountPoints:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,11 @@ class TestStrictPartition:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ParameterError):
             StrictPartition(bad)
+
+    @pytest.mark.parametrize("bad", [3.9, Fraction(7, 2), "3"])
+    def test_rejects_non_integer_part(self, bad):
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            StrictPartition((bad, 1))
 
     def test_staircase(self):
         assert staircase(4).parts == (4, 3, 2, 1)

@@ -1,5 +1,7 @@
 import gc
+import re
 from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -210,6 +212,14 @@ class TestEnumerate:
                 if p.s < 0:
                     continue
                 assert prym_limit_vanishing_ramified(g, r) in enumerate_candidates(p)
+
+
+class TestLimitProblem:
+    @pytest.mark.parametrize("bad", [5.5, Fraction(11, 2), "5"])
+    def test_rejects_non_integer_g_or_r(self, bad):
+        for g, r in ((bad, 1), (5, bad)):
+            with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+                LimitProblem(RAMIFIED_X_PLUS_Y, g, r)
 
 
 class TestSolveUnique:

@@ -78,6 +78,11 @@ class TestThetaClass:
         with pytest.raises(ParameterError, match=re.escape(repr(bad))):
             ThetaClass(bad, 2)
 
+    @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2"])
+    def test_rejects_non_integer_exponent(self, bad):
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            ThetaClass(Fraction(1), bad)
+
     def test_rejects_negative_exponent(self):
         with pytest.raises(ParameterError):
             ThetaClass(Fraction(1), -1)
