@@ -170,15 +170,12 @@ def lagrangian_class_unramified(r: int) -> ThetaClass:
 
 
 def eval_identity(lam: StrictPartition) -> Fraction:
-    """Closed-form evaluation of Q-tilde at c_i = 1/i!:
+    """Closed-form evaluation of Q-tilde at c_i = 1/i!, as one integer ratio:
 
-    prod_i 1/lambda_i! * prod_{i<j} (lambda_i-lambda_j)/(lambda_i+lambda_j).
+    prod_{i<j} (lambda_i-lambda_j) / (prod_i lambda_i! * prod_{i<j} (lambda_i+lambda_j)).
     """
-    coeff = Fraction(1)
-    for p in lam.parts:
-        coeff /= math.factorial(p)
     parts = lam.parts
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            coeff *= Fraction(parts[i] - parts[j], parts[i] + parts[j])
-    return coeff
+    pairs = [(x, y) for i, x in enumerate(parts) for y in parts[i + 1 :]]
+    num = math.prod(x - y for x, y in pairs)
+    den = math.prod(map(math.factorial, parts)) * math.prod(x + y for x, y in pairs)
+    return Fraction(num, den)

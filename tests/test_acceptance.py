@@ -31,7 +31,7 @@ def _report(number, description, passed):
 
 def test_criterion_1_engine_matches_oracle_to_weight_24():
     start = time.monotonic()
-    res = verify.suite_engine_oracle(24)
+    res = verify.suite_engine_oracle(verify.engine_classes(24))
     elapsed = time.monotonic() - start
     _report(
         1,
@@ -42,7 +42,7 @@ def test_criterion_1_engine_matches_oracle_to_weight_24():
 
 
 def test_criterion_2_pointed_classes_agree_to_weight_24():
-    res = verify.suite_pointed_equivalence(24)
+    res = verify.suite_pointed_equivalence(verify.engine_classes(24))
     _report(
         2,
         f"pointed Pfaffian class equals closed form on {res.cases} "

@@ -248,10 +248,57 @@ class TestVerify:
         from prymbn import verify as verify_mod
 
         monkeypatch.setattr(verify_mod.lagrangian, "eval_identity", lambda lam: 0)
-        res = verify_mod.suite_engine_oracle(4)
+        res = verify_mod.suite_engine_oracle(verify_mod.engine_classes(4))
         assert res.cases == 1
         assert res.passed is False
         assert res.counterexample.startswith("lambda=(4,):")
+
+    def test_pointed_counterexample_names_the_sequence(self, monkeypatch):
+        from prymbn import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod.formulas, "twisted_pointed_class", lambda a: None)
+        res = verify_mod.suite_pointed_equivalence(verify_mod.engine_classes(4))
+        assert (res.cases, res.passed) == (1, False)
+        assert res.counterexample.startswith("a=(3,):")
+
+    def test_run_all_evaluates_one_q_tilde_per_partition(self, monkeypatch):
+        # 761 partitions of weight <= 24, plus the staircases of r = 0..4 and
+        # the P-tilde staircases of r = 1..4.
+        from prymbn import lagrangian
+        from prymbn import verify as verify_mod
+
+        calls = []
+        real = lagrangian.q_tilde
+        monkeypatch.setattr(lagrangian, "q_tilde", lambda *a: calls.append(a) or real(*a))
+        results = verify_mod.run_all()
+        assert all(res.passed for res in results)
+        assert len(calls) == 761 + 5 + 4
+
+    @pytest.mark.parametrize("bounds", [(0, 0, 0), (1, 1, 0), (12, 8, 3), (24, 12, 4)])
+    def test_run_all_matches_standalone_suites(self, bounds):
+        from prymbn import verify as v
+
+        w, g, r = bounds
+        standalone = [
+            v.suite_engine_oracle(v.engine_classes(w)),
+            v.suite_pointed_equivalence(v.engine_classes(w)),
+            v.suite_staircase_relation(r),
+            v.suite_unramified_reproduction(max(r, 1)),
+            v.suite_count_integrality(r),
+            v.suite_limit_solver(g, r),
+            v.suite_w_consistency(g, r),
+            v.suite_degree_table(g),
+        ]
+        summary = lambda results: [(s.name, s.cases, s.passed) for s in results]  # noqa: E731
+        assert summary(v.run_all(w, g, r)) == summary(standalone)
+
+    def test_vacuous_suites_are_marked(self):
+        rec = run_json("verify", "--max-weight", "1", "--max-g", "1", "--max-r", "0")
+        assert rec["result"]["all_passed"] is True
+        vacuous = {s["name"] for s in rec["result"]["suites"] if s.get("vacuous")}
+        assert vacuous == {"count_integrality", "limit_solver", "w_consistency", "degree_table"}
+        for s in rec["result"]["suites"]:
+            assert ("vacuous" in s) == (s["cases"] == 0)
 
     def test_engine_oracle_builds_one_chern_series(self, monkeypatch):
         # Every partition reads a prefix of the one series at the bound.
@@ -260,7 +307,7 @@ class TestVerify:
         calls = []
         real = formulas.chern_series_W
         monkeypatch.setattr(formulas, "chern_series_W", lambda n: calls.append(n) or real(n))
-        res = verify_mod.suite_engine_oracle(24)
+        res = verify_mod.suite_engine_oracle(verify_mod.engine_classes(24))
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 
     def test_pointed_equivalence_builds_one_chern_series(self, monkeypatch):
@@ -273,21 +320,21 @@ class TestVerify:
         counted = lambda n: calls.append(n) or real(n)  # noqa: E731
         monkeypatch.setattr(formulas, "chern_series_W", counted)
         monkeypatch.setattr(lagrangian, "chern_series_W", counted)
-        res = verify_mod.suite_pointed_equivalence(24)
+        res = verify_mod.suite_pointed_equivalence(verify_mod.engine_classes(24))
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_pointed_equivalence_vacuous_below_one(self, bound):
         from prymbn import verify as verify_mod
 
-        res = verify_mod.suite_pointed_equivalence(bound)
+        res = verify_mod.suite_pointed_equivalence(verify_mod.engine_classes(bound))
         assert (res.cases, res.passed) == (0, True)
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_engine_oracle_vacuous_below_one(self, bound):
         from prymbn import verify as verify_mod
 
-        res = verify_mod.suite_engine_oracle(bound)
+        res = verify_mod.suite_engine_oracle(verify_mod.engine_classes(bound))
         assert (res.cases, res.passed) == (0, True)
 
 

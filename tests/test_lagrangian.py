@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -55,6 +56,21 @@ def literal_q2(a, b, c):
     for j in range(1, b + 1):
         total += 2 * (-1) ** j * c[a + j] * c[b - j]
     return total
+
+
+def literal_eval_identity(lam):
+    """prod_i 1/lambda_i! * prod_{i<j} (lambda_i-lambda_j)/(lambda_i+lambda_j), factor by factor.
+
+    The reference for eval_identity's one integer ratio.
+    """
+    coeff = Fraction(1)
+    for p in lam.parts:
+        coeff /= math.factorial(p)
+    parts = lam.parts
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            coeff *= Fraction(parts[i] - parts[j], parts[i] + parts[j])
+    return coeff
 
 
 def laplace_q_tilde(lam, c):
@@ -225,9 +241,15 @@ class TestEvalIdentity:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_single_part(self, n):
-        import math
-
         assert eval_identity(StrictPartition.of(n)) == Fraction(1, math.factorial(n))
+
+    def test_matches_literal_product_to_weight_30(self):
+        for lam in verify.strict_partitions(30):
+            assert eval_identity(lam) == literal_eval_identity(lam)
+
+    def test_matches_literal_product_at_staircase_40(self):
+        lam = staircase(40)
+        assert eval_identity(lam) == literal_eval_identity(lam)
 
     def test_agrees_with_engine(self):
         for lam in verify.strict_partitions(18):
