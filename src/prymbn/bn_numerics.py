@@ -10,6 +10,7 @@ a lower bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -36,7 +37,7 @@ class VanishingSequence:
             raise ParameterError("vanishing sequence must be non-empty")
         if entries[0] < 0:
             raise ParameterError("vanishing orders must be non-negative")
-        if any(y <= x for x, y in zip(entries, entries[1:])):
+        if not all(map(operator.lt, entries, entries[1:])):
             raise ParameterError(f"vanishing orders must strictly increase: {entries}")
 
     @classmethod

@@ -3,7 +3,9 @@
 Subcommands expose the dimension reports, class formulas, point counts,
 limit-series solver and the cross-module verification suites.  Output is a
 canonical machine-readable record (json, csv or md): keys sorted, rationals
-serialized as reduced "p/q" strings, integers unquoted.  Exit codes: 0 for
+serialized as reduced "p/q" strings, integers unquoted.  JSON is written by
+one canonical renderer, ``_json``, whose test oracle is ``json.dumps(...,
+sort_keys=True, indent=2, default=str)``.  Exit codes: 0 for
 success (including proven-empty loci), 1 for invariant violations, 2 for
 usage errors.  No configuration files and no environment variables, so a
 fixed command line always reproduces the same bytes.
@@ -16,6 +18,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import bn_numerics, formulas, lagrangian, theta_ring, verify
@@ -153,16 +156,14 @@ _FLAVOR_MAP = {"unramified": UNRAMIFIED_DELTA1, "ramified": RAMIFIED_X_PLUS_Y}
 def _cmd_limits(args) -> _Reply:
     params: Dict[str, Any] = {"flavor": args.flavor, "g": args.g, "r": args.r}
     problem = LimitProblem(_FLAVOR_MAP[args.flavor], args.g, args.r)
-    citations = ["vanishing orders of aspects of Prym limit linear series"]
-    if problem.s < 0:
-        return params, {"empty": True, "s": problem.s}, citations
+    result: Dict[str, Any] = {"empty": problem.s < 0, "s": problem.s}
     candidates = enumerate_candidates(problem) if args.show_candidates else None
-    solution = solve_unique(problem, candidates)
-    result = {"empty": False, "s": problem.s, "solution": list(solution.entries)}
-    if args.show_candidates:
+    if candidates is not None:  # [] on an empty locus (s < 0)
         params["show_candidates"] = True
-        result["candidates"] = [list(a.entries) for a in candidates]
-    return params, result, citations
+        result["candidates"] = [a.entries for a in candidates]
+    if problem.s >= 0:
+        result["solution"] = solve_unique(problem, candidates).entries
+    return params, result, ["vanishing orders of aspects of Prym limit linear series"]
 
 
 def _cmd_verify(args) -> _Reply:
@@ -182,7 +183,7 @@ def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(value[k], f"{key}.{k}" if key else k)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             flat[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
         else:
             flat[key] = "" if value is None else str(value)
@@ -191,9 +192,31 @@ def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
     return flat
 
 
+def _json(value: Any, pad: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2, default=str)``; ``pad`` is
+    the newline and indent ``value`` sits at.  A tuple holds vanishing orders: one join."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return _quote(str(value))
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(value, tuple):
+        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+    if isinstance(value, list):
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
+    items = (f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value))
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
 def _render(record: Dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record, sort_keys=True, indent=2, default=str) + "\n"
+        return _json(record) + "\n"
     flat = _flatten_record(record)
     keys = sorted(flat)
     if fmt == "csv":

@@ -133,24 +133,26 @@ def enumerate_candidates(p: LimitProblem) -> List[VanishingSequence]:
     For the two directly-posed problems the sum constraint is the
     adjusted-rho condition rho_pointed = rho - sum(a_i - i) = s on both
     aspects, which ``solve_unique`` re-checks on its survivor.  The walk
-    fixes a_0, a_1, ... left to right and visits only prefixes that can
-    still be completed, so the list comes out in lexicographic order.
+    fixes a_0, a_1, ... left to right on int tuples, visiting only completable
+    prefixes, so the list is lexicographic; each becomes a ``VanishingSequence``
+    at the end.  ``solve_unique`` deliberately filters this full list: perfbench
+    counts candidates by wrapping this call, so pruning waits for in-package counters.
     """
     if p.s < 0:
         return []
-    out: List[VanishingSequence] = []
+    out: List[Tuple[int, ...]] = []
     parity = p.flavor != RAMIFIED_X_PLUS_Y
     _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, parity)
-    return out
+    return [VanishingSequence(entries) for entries in out]
 
 
-def _extend(out: List[VanishingSequence], prefix: Tuple[int, ...], lo: int, step: int,
+def _extend(out: List[Tuple[int, ...]], prefix: Tuple[int, ...], lo: int, step: int,
             k: int, rest: int, d: int, parity: bool) -> None:
     """Append each completion of ``prefix`` by k entries, the first in range(lo, d+1, step),
     summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity."""
     if k == 1:
         if lo <= rest <= d and (rest - lo) % step == 0:
-            out.append(VanishingSequence(prefix + (rest,)))
+            out.append(prefix + (rest,))
         return
     # x, x+2, ... must not overshoot rest; x plus the k-1 top values must reach it.
     start = max(lo, rest - (k - 1) * (d - k + 2))
@@ -159,12 +161,15 @@ def _extend(out: List[VanishingSequence], prefix: Tuple[int, ...], lo: int, step
         top = d - (d - x) % 2 if parity else d
         if x + (k - 1) * (top - k + 2) < rest or parity and (rest - k * x) % 2:
             continue
-        _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
+        if k == 2:  # the checks above already admit the last entry rest - x
+            out.append(prefix + (x, rest - x))
+        else:
+            _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
 
 
 def _endpoint_filter_unramified(g: int, r: int, a: VanishingSequence) -> bool:
     """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}."""
-    return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
+    return all(g + r - 1 - order - i == sum(1 for aj in a.entries if aj >= order + 2)
                for i, order in enumerate(reversed(a.entries)))
 
 
@@ -186,7 +191,8 @@ def solve_unique(
     if p.flavor == UNRAMIFIED_DELTA1:
         survivors = [a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)]
     else:
-        survivors = [a for a in candidates if a[0] == p.g - p.r and a[-1] == p.g + p.r]
+        low, high = p.g - p.r, p.g + p.r
+        survivors = [a for a in candidates if a.entries[0] == low and a.entries[-1] == high]
     closed = _centered(p.degree // 2, p.r)
     if len(survivors) != 1:
         raise InvariantViolationError(

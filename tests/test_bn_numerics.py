@@ -34,6 +34,23 @@ class TestVanishingSequence:
         with pytest.raises(ParameterError):
             VanishingSequence(bad)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ((0, 0), "vanishing orders must strictly increase: (0, 0)"),
+            ((3, 1), "vanishing orders must strictly increase: (3, 1)"),
+            ((-1, 2), "vanishing orders must be non-negative"),
+            ((), "vanishing sequence must be non-empty"),
+            ((0, 1.0), "expected an integer for vanishing orders, got 1.0"),
+            ((0, Fraction(1, 2)), "expected an integer for vanishing orders, got Fraction(1, 2)"),
+            (("1",), "expected an integer for vanishing orders, got '1'"),
+        ],
+    )
+    def test_refusal_messages(self, bad, message):
+        with pytest.raises(ParameterError) as info:
+            VanishingSequence(bad)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [2.7, Fraction(7, 2), "2"])
     def test_rejects_non_integer_order(self, bad):
         # int() would truncate 2.7 and 7/2 and parse "2": all refused.

@@ -1,12 +1,18 @@
 import io
 import json
+import shlex
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from prymbn import cli, formulas, limit_series
+
+GOLDEN_COMMANDS = (Path(__file__).parent / "golden" / "commands.txt").read_text().splitlines()
 
 
 def run_cli(*args):
@@ -218,6 +224,21 @@ class TestLimits:
         assert code == 0
         assert json.loads(out)["result"]["empty"] is True
 
+    @pytest.mark.parametrize("flavor,g,r", [("ramified", 2, 3), ("unramified", 2, 2)])
+    def test_empty_locus_keeps_the_candidates_flag(self, flavor, g, r):
+        args = ("limits", "--flavor", flavor, "--g", str(g), "--r", str(r), "--show-candidates")
+        rec = run_json(*args)
+        assert rec["params"]["show_candidates"] is True
+        assert rec["result"]["empty"] is True
+        assert rec["result"]["candidates"] == []
+        code, out, _ = run_cli("--format", "csv", *args)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["params.show_candidates"] == "True"
+        assert fields["result.candidates"] == "[]"
+        assert fields["result.empty"] == "True"
+
 
 class TestVerify:
     def test_small_bounds_pass(self):
@@ -363,3 +384,50 @@ class TestFormats:
         assert out1 == out2
         keys = list(json.loads(out1))
         assert keys == sorted(keys)
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit (absent before Python 3.10.7) as main does."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+_HUGE = st.builds(lambda digits, sign: sign * (10 ** digits + 7),
+                  st.integers(4300, 4400), st.sampled_from((1, -1)))
+_LEAVES = (st.text() | st.integers() | _HUGE | st.booleans() | st.none() | st.fractions()
+           | st.lists(st.integers() | _HUGE, max_size=5).map(tuple))
+_RECORDS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonRenderer:
+    """cli._json against its oracle, json.dumps(sort_keys=True, indent=2, default=str)."""
+
+    @given(_RECORDS)
+    @example(())
+    @example([(), []])
+    @example({"candidates": [(0, 8), (), (-1,)], "empty": {}})
+    @example("\x00\u00e9\"\\\n")
+    def test_matches_json_dumps(self, value):
+        with unlimited_int_digits():
+            assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+    @pytest.mark.parametrize("index,line", list(enumerate(GOLDEN_COMMANDS, 1)))
+    def test_golden_json_rerenders_to_the_same_bytes(self, index, line):
+        argv = shlex.split(line)
+        if argv[0] == "--format":
+            argv = argv[2:]
+        code, out, err = run_cli(*argv)
+        assert code == 0, err
+        assert cli._json(json.loads(out)) + "\n" == out

@@ -173,15 +173,21 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_matches_naive_walk(self, flavor):
-        checked = 0
+        # The sweep holds the walk's edges: r = 0 (the root is the leaf),
+        # r = 1 (the root is the closed k == 2 level) and s = 0.
+        checked, seen = 0, set()
         for g in range(1, 21):
             for r in range(6):
                 p = LimitProblem(flavor, g, r)
                 if comb(p.degree + 1, r + 1) > 2 * 10**5:
                     continue
-                assert enumerate_candidates(p) == naive_candidates(p), (flavor, g, r)
+                got = enumerate_candidates(p)
+                assert got == naive_candidates(p), (flavor, g, r)
+                assert all(type(a) is VanishingSequence and type(a.entries) is tuple
+                           and all(type(x) is int for x in a.entries) for a in got)
+                seen |= {("r", r), ("s", p.s)}
                 checked += 1
-        assert checked > 100
+        assert checked > 100 and {("r", 0), ("r", 1), ("s", 0)} <= seen
 
     @pytest.mark.parametrize(
         "flavor,expected", [(UNRAMIFIED_DELTA1, 6225), (RAMIFIED_X_PLUS_Y, 93844)]
