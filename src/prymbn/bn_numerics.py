@@ -102,7 +102,8 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     k = 1; for larger k only the bound is known.
     """
     if g < 2 or k < 0 or r < 0:
-        raise ParameterError("expected_dim_V requires g >= 2, k >= 0, r >= 0")
+        raise ParameterError(
+            f"expected_dim_V requires g >= 2, k >= 0, r >= 0, got {g=}, {k=}, {r=}")
     value = g - 1 + k - k * (r + 1) - r * (r + 1) // 2
     if k == 0:
         source = "exact dimension g-1-r(r+1)/2 of the norm-omega locus (unramified)"
@@ -141,7 +142,7 @@ def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
     """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
     _check_twisted(g, k)
     if r < 0:
-        raise ParameterError("rank must be non-negative")
+        raise ParameterError(f"rank must be non-negative, got {r=}")
     value = g + k - 1 - (r + 1) * (r + 2) // 2
     source = "exact dimension g+k-1-(r+1)(r+2)/2 of the twisted locus"
     return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
@@ -162,7 +163,8 @@ def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimRepor
 def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     """Norm-omega locus twisted down by a generic effective divisor of degree d."""
     if g < 2 or k < 0 or r < 0 or d < 0:
-        raise ParameterError("invalid parameters for divisor-twisted locus")
+        raise ParameterError(
+            f"invalid parameters for divisor-twisted locus, got {g=}, {k=}, {r=}, {d=}")
     value = g - 1 + k - (d + k) * (r + 1) - r * (r + 1) // 2
     if k == 0:
         source = "exact dimension g-1-r(r+1)/2-d(r+1) of the divisor-twisted locus"
@@ -178,7 +180,7 @@ def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     """Twisted locus further twisted down by an effective divisor of degree d."""
     _check_twisted(g, k)
     if r < 0 or d < 0:
-        raise ParameterError("rank and divisor degree must be non-negative")
+        raise ParameterError(f"rank and divisor degree must be non-negative, got {r=}, {d=}")
     value = g - 1 + k - d * (r + 1) - (r + 1) * (r + 2) // 2
     source = "exact dimension g-1+k-(r+1)(r+2)/2-d(r+1) of the twisted divisor locus"
     return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)

@@ -1,12 +1,13 @@
 """Command line front end: the ``pbn`` tool.
 
 Subcommands expose the dimension reports, class formulas, point counts,
-limit-series solver and the cross-module verification suites.  Output is a
-canonical machine-readable record (json, csv or md): keys sorted, rationals
-serialized as reduced "p/q" strings, integers unquoted.  JSON is written by
-one canonical renderer, ``_json``, whose test oracle is ``json.dumps(...,
-sort_keys=True, indent=2, default=str)``.  Exit codes: 0 for
-success (including proven-empty loci), 1 for invariant violations, 2 for
+limit-series solver and the cross-module verification suites.  Each locus
+and limit flavor, with its flags and library functions, is read from
+``verify.LOCI`` and ``verify.LIMIT_FLAVORS``.  Output is a canonical record
+(json, csv or md): keys sorted, rationals as reduced "p/q" strings, integers
+unquoted.  JSON is written by one renderer, ``_json``, whose test oracle is
+``json.dumps(..., sort_keys=True, indent=2, default=str)``.  Exit codes: 0
+for success (including proven-empty loci), 1 for invariant violations, 2 for
 usage errors.  No configuration files and no environment variables, so a
 fixed command line always reproduces the same bytes.
 """
@@ -21,16 +22,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import bn_numerics, formulas, lagrangian, theta_ring, verify
+from . import formulas, theta_ring, verify
 from .bn_numerics import VanishingSequence
 from .errors import InvariantViolationError, ParameterError, PrymBNError
-from .limit_series import (
-    RAMIFIED_X_PLUS_Y,
-    UNRAMIFIED_DELTA1,
-    LimitProblem,
-    enumerate_candidates,
-    solve_unique,
-)
+from .limit_series import LimitProblem, enumerate_candidates, solve_unique
 from .theta_ring import ThetaClass
 
 USAGE_ERROR = 2
@@ -77,59 +72,29 @@ def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]
     return values
 
 
-# The library functions in both tables are looked up on their modules when
-# called, so that a wrapper put there (a monkeypatch, a tracer) sees the call.
-
-# locus -> (flags it takes besides --g/--k, expected-dimension function);
-# the citation is the report's source.
-_DIM_LOCI = {
-    "V": (("r",), lambda *v: bn_numerics.expected_dim_V(*v)),
-    "V_eta": (("r",), lambda *v: bn_numerics.expected_dim_V_eta(*v)),
-    "V_eta_pointed": (("a",), lambda *v: bn_numerics.expected_dim_V_eta_pointed(*v)),
-    "V_div": (("r", "d"), lambda *v: bn_numerics.expected_dim_V_divisor(*v)),
-    "V_eta_div": (("r", "d"), lambda *v: bn_numerics.expected_dim_V_eta_divisor(*v)),
-}
-
-_P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
-_Q_TILDE = "Q-tilde Pfaffian evaluation at c_i = theta'^i/i!"
-
-# locus -> (flags it takes, closed form, citation, engine, engine citation)
-_CLASS_LOCI = {
-    "V_unramified": (("r",), lambda r: formulas.unramified_class(r),
-                     "closed-form class of the norm-omega locus on P+/P-",
-                     lambda r: lagrangian.lagrangian_class_unramified(r), _P_TILDE),
-    "V_eta": (("r",), lambda r: formulas.twisted_class(r),
-              "closed-form class of the twisted locus",
-              lambda r: lagrangian.lagrangian_class_twisted(r), _Q_TILDE),
-    "V_eta_pointed": (("a",), lambda a: formulas.twisted_pointed_class(a),
-                      "closed-form class of the pointed twisted locus",
-                      lambda a: lagrangian.lagrangian_class_pointed(a), _Q_TILDE),
-}
-
-
 # What a command returns: (params, result, citations); main makes the record.
 _Reply = Tuple[Dict[str, Any], Dict[str, Any], List[str]]
 
 
 def _cmd_dim(args) -> _Reply:
-    flags, expected_dim = _DIM_LOCI[args.locus]
+    locus = verify.LOCI[args.locus]
     params: Dict[str, Any] = {"locus": args.locus, "g": args.g, "k": args.k}
-    rep = expected_dim(args.g, args.k, *_locus_args(args, flags, params))
+    rep = locus.dim(args.g, args.k, *_locus_args(args, locus.flags, params))
     result = {"value": rep.value, "exactness": rep.exactness, "emptiness": rep.emptiness}
     return params, result, [rep.source]
 
 
 def _cmd_class(args) -> _Reply:
-    flags, closed_form, citation, engine_class, engine_citation = _CLASS_LOCI[args.locus]
+    locus = verify.LOCI[args.locus]
     params: Dict[str, Any] = {"locus": args.locus}
-    values = _locus_args(args, flags, params)
-    cls = closed_form(*values)
+    values = _locus_args(args, locus.flags, params)
+    cls = locus.closed_form(*values)
     result: Dict[str, Any] = {"class": _theta_json(cls)}
-    citations = [citation]
+    citations = [locus.citation]
     if args.engine:
         params["engine"] = True
-        engine = engine_class(*values)
-        citations.append(engine_citation)
+        engine = locus.engine(*values)
+        citations.append(locus.engine_citation)
         result["engine"] = _theta_json(engine)
         result["engine_agrees"] = engine == cls
         if engine.exponent == cls.exponent and cls.coeff != 0:
@@ -139,23 +104,20 @@ def _cmd_class(args) -> _Reply:
 
 def _cmd_count(args) -> _Reply:
     params = {"g": args.g, "k": args.k, "r": args.r}
-    if args.k not in (1, 2):
-        raise ParameterError("counts are only calibrated for k = 1 or 2")
-    rep = bn_numerics.expected_dim_V_eta(args.g, args.k, args.r)
+    locus = verify.LOCI["V_eta"]
+    rep = locus.dim(args.g, args.k, args.r)
     if rep.value != 0:
-        raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count")
+        raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count"
+                             f" at g={args.g}, k={args.k}, r={args.r}")
     space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
-    n = formulas.count_points(formulas.twisted_class(args.r), space)
+    n = formulas.count_points(locus.closed_form(args.r), space)
     result = {"count": n, "theta_top": space.theta_top}
     return params, result, ["cardinality of the zero-dimensional twisted locus"]
 
 
-_FLAVOR_MAP = {"unramified": UNRAMIFIED_DELTA1, "ramified": RAMIFIED_X_PLUS_Y}
-
-
 def _cmd_limits(args) -> _Reply:
     params: Dict[str, Any] = {"flavor": args.flavor, "g": args.g, "r": args.r}
-    problem = LimitProblem(_FLAVOR_MAP[args.flavor], args.g, args.r)
+    problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor][0], args.g, args.r)
     result: Dict[str, Any] = {"empty": problem.s < 0, "s": problem.s}
     candidates = enumerate_candidates(problem) if args.show_candidates else None
     if candidates is not None:  # [] on an empty locus (s < 0)
@@ -168,8 +130,9 @@ def _cmd_limits(args) -> _Reply:
 
 def _cmd_verify(args) -> _Reply:
     params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
-    if min(params.values()) < 0:
-        raise ParameterError("verification bounds must be non-negative")
+    bad = ", ".join(f"{k}={v}" for k, v in params.items() if v < 0)
+    if bad:
+        raise ParameterError(f"verification bounds must be non-negative, got {bad}")
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
     suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
@@ -246,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_dim = sub.add_parser("dim", help="expected-dimension report for a locus")
-    p_dim.add_argument("--locus", required=True, choices=tuple(_DIM_LOCI))
+    p_dim.add_argument("--locus", required=True,
+                       choices=tuple(n for n, l in verify.LOCI.items() if l.dim))
     p_dim.add_argument("--g", type=int, required=True)
     p_dim.add_argument("--k", type=int, required=True)
     p_dim.add_argument("--r", type=int)
@@ -255,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.set_defaults(func=_cmd_dim)
 
     p_class = sub.add_parser("class", help="cohomology class as a theta multiple")
-    p_class.add_argument("--locus", required=True, choices=tuple(_CLASS_LOCI))
+    p_class.add_argument("--locus", required=True,
+                         choices=tuple(n for n, l in verify.LOCI.items() if l.closed_form))
     p_class.add_argument("--r", type=int)
     p_class.add_argument("--a", help="comma-separated vanishing sequence")
     p_class.add_argument(
@@ -271,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_limits = sub.add_parser("limits", help="limit-series vanishing orders")
-    p_limits.add_argument(
-        "--flavor", required=True, choices=tuple(_FLAVOR_MAP),
-    )
+    p_limits.add_argument("--flavor", required=True, choices=tuple(verify.LIMIT_FLAVORS))
     p_limits.add_argument("--g", type=int, required=True)
     p_limits.add_argument("--r", type=int, required=True)
     p_limits.add_argument("--show-candidates", action="store_true")

@@ -63,7 +63,7 @@ def twisted_class(r: int) -> ThetaClass:
     prod_{i=1}^{r+1} i!/(2i)! * theta'^e = theta'^e / (2^e prod_{i=1}^{r+1} (2i-1)!!).
     """
     if r < 0:
-        raise ParameterError("rank must be non-negative")
+        raise ParameterError(f"rank must be non-negative, got {r=}")
     e = (r + 1) * (r + 2) // 2
     return ThetaClass(Fraction(1, 2**e * _double_factorials(r + 1)), e, THETA_PRIME)
 
@@ -86,7 +86,7 @@ def unramified_class(r: int) -> ThetaClass:
     2^e prod_{i=1}^{r} i!/(2i)! * xi^e = xi^e / prod_{i=1}^{r} (2i-1)!!.
     """
     if r < 0:
-        raise ParameterError("rank must be non-negative")
+        raise ParameterError(f"rank must be non-negative, got {r=}")
     return ThetaClass(Fraction(1, _double_factorials(r)), r * (r + 1) // 2, XI)
 
 

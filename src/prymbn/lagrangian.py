@@ -158,14 +158,14 @@ def lagrangian_class_pointed(a: VanishingSequence) -> ThetaClass:
 def lagrangian_class_twisted(r: int) -> ThetaClass:
     """Engine value of the twisted class: Q-tilde at the staircase of length r+1."""
     if r < 0:
-        raise ParameterError("rank must be non-negative")
+        raise ParameterError(f"rank must be non-negative, got {r=}")
     return _at_W(q_tilde, staircase(r + 1))
 
 
 def lagrangian_class_unramified(r: int) -> ThetaClass:
     """Engine value of the P+/P- class: P-tilde at staircase(r) in xi (1 at r = 0)."""
     if r < 0:
-        raise ParameterError("rank must be non-negative")
+        raise ParameterError(f"rank must be non-negative, got {r=}")
     return substitute_theta_prime_as_2xi(_at_W(p_tilde, staircase(r)))
 
 

@@ -42,7 +42,7 @@ class LimitProblem:
             raise ParameterError(f"unknown flavor {self.flavor!r}")
         g, r = _integers("g and r", self.g, self.r)
         if g < 1 or r < 0:
-            raise ParameterError("need g >= 1 and r >= 0")
+            raise ParameterError(f"need g >= 1 and r >= 0, got {g=}, {r=}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
 

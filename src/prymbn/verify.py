@@ -1,35 +1,77 @@
-"""Cross-module identity suites.
+"""The table of locus facts, and the cross-module identity suites.
 
-Each suite exercises one of the consistency statements tying the closed
-forms, the Pfaffian engine and the limit-series solver together.  Suites
-return a SuiteResult with the first counterexample on failure, marked
-vacuous when they checked no case; the CLI ``verify`` command and the
-acceptance tests both run them.
-
-The engine is evaluated once per strict partition: ``engine_classes`` builds
-the table of Q-tilde values, and two suites check it against two independent
-oracles, the product formula ``eval_identity`` (``engine_oracle``) and the
-pointed closed form ``twisted_pointed_class`` (``pointed_equivalence``).
+``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form
+and engine with their citations, and the engine/closed-form ratio.  The CLI
+builds its parser and dispatch from it and from ``LIMIT_FLAVORS``, and the
+staircase suites check each engine against its ratio times its closed form.
+Each suite returns a SuiteResult with the first counterexample on failure,
+marked vacuous when it checked no case.  The engine is evaluated once per
+strict partition: ``engine_classes`` builds the Q-tilde table, and two suites
+check it against the product formula ``eval_identity`` (``engine_oracle``)
+and the pointed closed form ``twisted_pointed_class`` (``pointed_equivalence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from . import formulas, lagrangian, limit_series, theta_ring
+from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
 from .bn_numerics import VanishingSequence, expected_dim_V
 from .errors import PrymBNError
 from .lagrangian import StrictPartition
-from .limit_series import (
-    RAMIFIED_X_PLUS_Y,
-    UNRAMIFIED_DELTA1,
-    LimitProblem,
-    solve_unique,
-    w_locus_expected_dim,
-)
+from .limit_series import LimitProblem, solve_unique, w_locus_expected_dim
+
+
+class Locus(NamedTuple):
+    """One locus: its CLI flags besides dim's --g/--k, its dimension report at (g, k,
+    *values), its closed-form and engine classes at the values with their citations, and
+    the engine/closed-form coefficient ratio; a fact the locus lacks is None."""
+
+    flags: Tuple[str, ...]
+    dim: Optional[Callable[..., bn_numerics.DimReport]] = None
+    closed_form: Optional[Callable[..., theta_ring.ThetaClass]] = None
+    citation: str = ""
+    engine: Optional[Callable[..., theta_ring.ThetaClass]] = None
+    engine_citation: str = ""
+    ratio: Callable[..., int] = lambda *values: 1
+
+
+_P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
+_Q_TILDE = "Q-tilde Pfaffian evaluation at c_i = theta'^i/i!"
+
+# Each entry looks its library function up on the module when called, so a
+# wrapper put there (a monkeypatch, a tracer) sees the call.  In CLI order:
+# dim takes the loci with a report, class those with a class.
+LOCI = {
+    "V": Locus(("r",), lambda *v: bn_numerics.expected_dim_V(*v)),
+    "V_unramified": Locus(
+        ("r",), None, lambda r: formulas.unramified_class(r),
+        "closed-form class of the norm-omega locus on P+/P-",
+        lambda r: lagrangian.lagrangian_class_unramified(r), _P_TILDE),
+    "V_eta": Locus(
+        ("r",), lambda *v: bn_numerics.expected_dim_V_eta(*v),
+        lambda r: formulas.twisted_class(r), "closed-form class of the twisted locus",
+        lambda r: lagrangian.lagrangian_class_twisted(r), _Q_TILDE, lambda r: 2 ** (r + 1)),
+    "V_eta_pointed": Locus(
+        ("a",), lambda *v: bn_numerics.expected_dim_V_eta_pointed(*v),
+        lambda a: formulas.twisted_pointed_class(a),
+        "closed-form class of the pointed twisted locus",
+        lambda a: lagrangian.lagrangian_class_pointed(a), _Q_TILDE),
+    "V_div": Locus(("r", "d"), lambda *v: bn_numerics.expected_dim_V_divisor(*v)),
+    "V_eta_div": Locus(("r", "d"), lambda *v: bn_numerics.expected_dim_V_eta_divisor(*v)),
+}
+
+LIMIT_FLAVORS = {  # CLI flavor -> (limit_series flavor, closed-form solution at (g, r))
+    "unramified": (limit_series.UNRAMIFIED_DELTA1,
+                   lambda g, r: limit_series.prym_limit_vanishing(g, r)),
+    "ramified": (limit_series.RAMIFIED_X_PLUS_Y,
+                 lambda g, r: limit_series.prym_limit_vanishing_ramified(g, r)),
+}
+
+# The torsors with a calibrated top degree, in theta_ring's order.
+_CALIBRATED = [key for key, (_, top) in theta_ring._SPACES.items() if top is not None]
 
 
 @dataclass(frozen=True)
@@ -84,9 +126,7 @@ def _suite(name: str):
     no case is marked vacuous.
     """
 
-    def decorate(
-        outcomes: Callable[..., Iterator[Optional[str]]]
-    ) -> Callable[..., SuiteResult]:
+    def decorate(outcomes: Callable[..., Iterator[Optional[str]]]) -> Callable[..., SuiteResult]:
         @wraps(outcomes)
         def suite(*args, **kwargs) -> SuiteResult:
             cases = 0
@@ -125,24 +165,25 @@ def suite_pointed_equivalence(engines: EngineTable) -> Iterator[Optional[str]]:
         )
 
 
+def _staircase(locus: str, ranks: range) -> Iterator[Optional[str]]:
+    """The engine class of ``locus`` equals its ratio times its closed form, per rank."""
+    entry = LOCI[locus]
+    for r in ranks:
+        engine, closed, ratio = entry.engine(r), entry.closed_form(r), entry.ratio(r)
+        want = theta_ring.ThetaClass(ratio * closed.coeff, closed.exponent, closed.generator)
+        yield None if engine == want else f"r={r}: engine {engine} != ratio {ratio} x {closed}"
+
+
 @_suite("staircase_relation")
 def suite_staircase_relation(max_r: int = 6) -> Iterator[Optional[str]]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
-    for r in range(max_r + 1):
-        engine = lagrangian.lagrangian_class_twisted(r)
-        closed = formulas.twisted_class(r)
-        want = 2 ** (r + 1) * closed.coeff
-        ok = engine.coeff == want and engine.exponent == closed.exponent
-        yield None if ok else f"r={r}: engine {engine.coeff}, 2^(r+1) x closed {want}"
+    return _staircase("V_eta", range(max_r + 1))
 
 
 @_suite("unramified_reproduction")
 def suite_unramified_reproduction(max_r: int = 8) -> Iterator[Optional[str]]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
-    for r in range(1, max_r + 1):
-        engine = lagrangian.lagrangian_class_unramified(r)
-        closed = formulas.unramified_class(r)
-        yield None if engine == closed else f"r={r}: engine {engine}, closed form {closed}"
+    return _staircase("V_unramified", range(1, max_r + 1))
 
 
 def dimension_zero_genus(k: int, r: int) -> int:
@@ -152,8 +193,8 @@ def dimension_zero_genus(k: int, r: int) -> int:
 
 @_suite("count_integrality")
 def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
-    """Counts at the dimension-zero genus are positive integers (k = 1, 2)."""
-    for k in (1, 2):
+    """Counts at the dimension-zero genus are positive integers (calibrated k)."""
+    for k in (k for flavor, k in _CALIBRATED if flavor == theta_ring.RAMIFIED_TWISTED):
         for r in range(max_r + 1):
             g = dimension_zero_genus(k, r)
             if g < 2:
@@ -170,10 +211,7 @@ def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
 @_suite("limit_solver")
 def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str]]:
     """solve_unique agrees with the closed forms wherever s >= 0."""
-    for flavor, closed_form in (
-        (UNRAMIFIED_DELTA1, limit_series.prym_limit_vanishing),
-        (RAMIFIED_X_PLUS_Y, limit_series.prym_limit_vanishing_ramified),
-    ):
+    for flavor, closed_form in LIMIT_FLAVORS.values():
         for g in range(2, max_g + 1):
             for r in range(max_r + 1):
                 p = LimitProblem(flavor, g, r)
@@ -207,13 +245,9 @@ def suite_w_consistency(max_g: int = 30, max_r: int = 6) -> Iterator[Optional[st
 def suite_degree_table(max_g: int = 30) -> Iterator[Optional[str]]:
     """Top self-intersections match the calibration table."""
     for g in range(2, max_g + 1):
-        for flavor, k in ((theta_ring.UNRAMIFIED_PM, 0),
-                          (theta_ring.RAMIFIED_TWISTED, 1),
-                          (theta_ring.RAMIFIED_TWISTED, 2)):
+        for flavor, k in _CALIBRATED:
             space = theta_ring.make_space(flavor, g, k)
-            top = theta_ring.degree(
-                theta_ring.ThetaClass(Fraction(1), space.dim, space.generator), space
-            )
+            top = theta_ring.degree(theta_ring.ThetaClass(1, space.dim, space.generator), space)
             yield None if top == space.theta_top else f"{flavor} g={g} k={k}: {top}"
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import shlex
@@ -7,10 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from prymbn import cli, formulas, limit_series
+from prymbn import cli, formulas, lagrangian, limit_series, verify
+from prymbn.errors import ParameterError
+from prymbn.theta_ring import ThetaClass
 
 GOLDEN_COMMANDS = (Path(__file__).parent / "golden" / "commands.txt").read_text().splitlines()
 
@@ -180,6 +183,20 @@ class TestCount:
         code, _, _ = run_cli("count", "--g", "3", "--k", "0", "--r", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "g,k,r,named",
+        [
+            # dimension 0, but the k = 0 torsor has no calibrated top degree
+            (4, 0, 1, "top self-intersection is not available on the unramified twisted torsor"),
+            (6, 0, 2, "expected dimension is -1, not 0; no finite count at g=6, k=0, r=2"),
+            (4, 3, 1, "twisted loci are supported for k in {0,1,2}, got 3"),
+        ],
+    )
+    def test_uncalibrated_k_refused(self, g, k, r, named):
+        code, out, err = run_cli("count", "--g", str(g), "--k", str(k), "--r", str(r))
+        assert (code, out) == (2, "")
+        assert named in err
+
 
 class TestLimits:
     def test_with_candidates(self):
@@ -344,6 +361,20 @@ class TestVerify:
         res = verify_mod.suite_pointed_equivalence(verify_mod.engine_classes(24))
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 
+    def test_staircase_relation_counterexample_names_rank_and_ratio(self, monkeypatch):
+        monkeypatch.setattr(formulas, "twisted_class", lambda r: ThetaClass(1, 1))
+        res = verify.suite_staircase_relation(2)
+        assert (res.cases, res.passed) == (1, False)
+        assert res.counterexample.startswith("r=0:")
+        assert "ratio 2 x" in res.counterexample
+
+    def test_unramified_reproduction_counterexample_starts_at_rank_one(self, monkeypatch):
+        monkeypatch.setattr(formulas, "unramified_class", lambda r: ThetaClass(0, 0, "xi"))
+        res = verify.suite_unramified_reproduction(2)
+        assert (res.cases, res.passed) == (1, False)
+        assert res.counterexample.startswith("r=1:")
+        assert "ratio 1 x" in res.counterexample
+
     @pytest.mark.parametrize("bound", [0, -1])
     def test_pointed_equivalence_vacuous_below_one(self, bound):
         from prymbn import verify as verify_mod
@@ -357,6 +388,46 @@ class TestVerify:
 
         res = verify_mod.suite_engine_oracle(verify_mod.engine_classes(bound))
         assert (res.cases, res.passed) == (0, True)
+
+
+class TestRefusalsNameTheValue:
+    """Each refusal keeps its old text and appends the offending value."""
+
+    @pytest.mark.parametrize(
+        "argv,text,named",
+        [
+            ("dim --locus V --g 1 --k 0 --r 0", "requires g >= 2, k >= 0, r >= 0", "g=1"),
+            ("dim --locus V --g 5 --k -1 --r 0", "requires g >= 2, k >= 0, r >= 0", "k=-1"),
+            ("dim --locus V --g 5 --k 0 --r -2", "requires g >= 2, k >= 0, r >= 0", "r=-2"),
+            ("dim --locus V_div --g 5 --k 0 --r 1 --d -1",
+             "invalid parameters for divisor-twisted locus", "d=-1"),
+            ("dim --locus V_eta --g 5 --k 1 --r -1", "rank must be non-negative", "r=-1"),
+            ("dim --locus V_eta_div --g 5 --k 1 --r 1 --d -3",
+             "rank and divisor degree must be non-negative", "d=-3"),
+            ("count --g 4 --k 1 --r -1", "rank must be non-negative", "r=-1"),
+            ("class --locus V_eta --r -1", "rank must be non-negative", "r=-1"),
+            ("class --locus V_unramified --r -2 --engine", "rank must be non-negative", "r=-2"),
+            ("limits --flavor unramified --g 0 --r 1", "need g >= 1 and r >= 0", "g=0"),
+            ("limits --flavor ramified --g 3 --r -1", "need g >= 1 and r >= 0", "r=-1"),
+            ("verify --max-weight -1", "verification bounds must be non-negative",
+             "max_weight=-1"),
+            ("verify --max-g 2 --max-r -1", "verification bounds must be non-negative",
+             "max_r=-1"),
+        ],
+    )
+    def test_refusal_names_the_value(self, argv, text, named):
+        code, out, err = run_cli(*argv.split())
+        assert (code, out) == (2, "")
+        assert text in err
+        assert f"got {named}" in err or f", {named}" in err
+
+    @pytest.mark.parametrize(
+        "engine", [lagrangian.lagrangian_class_twisted, lagrangian.lagrangian_class_unramified]
+    )
+    def test_engine_rank_refusal_names_the_value(self, engine):
+        # The CLI evaluates the closed form first, so only the library reaches these.
+        with pytest.raises(ParameterError, match="rank must be non-negative, got r=-3"):
+            engine(-3)
 
 
 class TestFormats:
@@ -431,3 +502,100 @@ class TestJsonRenderer:
         code, out, err = run_cli(*argv)
         assert code == 0, err
         assert cli._json(json.loads(out)) + "\n" == out
+
+
+# Every flag a drawn argv may carry, with the values drawn for it.  A
+# sequence holds at most 5 orders in -1..14 and need not be valid.
+_VALUES = {
+    flag: st.integers(-3, 30).map(str) for flag in ("--g", "--k", "--r", "--d")
+}
+_VALUES["--a"] = st.lists(st.integers(-1, 14), max_size=5).map(lambda v: ",".join(map(str, v)))
+# limits stays at g <= 16: ramified (30, 6) already takes 15 s and 200 MB of
+# candidates, and larger values wait for a cost guard that refuses them.
+_LIMITS_G = st.integers(-3, 16).map(str)
+_BOUNDS = st.integers(-1, 8).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with its flags: each used flag missing and each unused flag given
+    with probability 1/6, so that both refusals are drawn."""
+    command = draw(st.sampled_from(("dim", "class", "count", "limits", "verify")))
+    argv, flip = [command], st.sampled_from((False,) * 5 + (True,))
+    if command == "verify":
+        for flag in ("--max-weight", "--max-g", "--max-r"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_BOUNDS)]
+        return argv
+    if command in ("dim", "class"):
+        has = (lambda l: l.dim) if command == "dim" else (lambda l: l.closed_form)
+        locus = draw(st.sampled_from([n for n, l in verify.LOCI.items() if has(l)]))
+        argv += ["--locus", locus]
+        used = ("g", "k") * (command == "dim") + verify.LOCI[locus].flags
+        if command == "class" and draw(st.booleans()):
+            argv.append("--engine")
+    elif command == "count":
+        used = ("g", "k", "r")
+    else:
+        argv += ["--flavor", draw(st.sampled_from(tuple(verify.LIMIT_FLAVORS)))]
+        used = ("g", "r")
+        if draw(st.booleans()):
+            argv.append("--show-candidates")
+    for flag in ("--g", "--k", "--r", "--d", "--a"):
+        if (flag[2:] in used) != draw(flip):
+            values = _LIMITS_G if command == "limits" and flag == "--g" else _VALUES[flag]
+            argv += [flag, draw(values)]
+    return argv
+
+
+def _run_any(*argv):
+    """run_cli, with argparse's SystemExit read as its exit code."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code, "", ""
+
+
+def _json_keys(out):
+    """The dotted key map of a json record, flattened as csv and md print it."""
+    flat = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k)
+        elif isinstance(value, list):
+            flat[key] = json.dumps(value, separators=(",", ":"))
+        else:
+            flat[key] = "" if value is None else str(value)
+
+    walk(json.loads(out), "")
+    return flat
+
+
+def _table_keys(out, fmt):
+    if fmt == "csv":
+        header, row = csv.reader(io.StringIO(out))
+        return dict(zip(header, row))
+    lines = out.splitlines()
+    assert lines[:2] == ["| key | value |", "| --- | --- |"]
+    return dict(line[2:-2].split(" | ", 1) for line in lines[2:])
+
+
+class TestContract:
+    """Every drawn argv answers (exit 0) or is refused (exit 2), in every format."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argvs())
+    def test_exit_zero_or_two_and_formats_agree(self, argv):
+        with unlimited_int_digits():
+            code, out, err = _run_any(*argv)
+            assert code in (0, 2), (code, err)
+            if code == 2:
+                return
+            assert cli._json(json.loads(out)) + "\n" == out
+            keys = _json_keys(out)
+            for fmt in ("csv", "md"):
+                code, table, err = _run_any("--format", fmt, *argv)
+                assert code == 0, err
+                assert _table_keys(table, fmt) == keys

@@ -33,3 +33,24 @@ def test_package_source_is_float_free():
                 assert node.attr not in _FLOAT_MATH, where
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert not {a.name for a in node.names} & _FLOAT_MATH, where
+
+
+def test_readme_locus_table_matches_the_registry():
+    # README's `command | locus | flags` table, one row per locus.
+    from prymbn import verify
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = set()
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in ("`dim`", "`class`"):
+            for locus in cells[1].split(", "):
+                rows.add((cells[0].strip("`"), locus.strip("`"), cells[2].strip("`")))
+    want = set()
+    for name, locus in verify.LOCI.items():
+        flags = " ".join(f"--{f}" for f in locus.flags)
+        if locus.dim:
+            want.add(("dim", name, f"--g --k {flags}"))
+        if locus.closed_form:
+            want.add(("class", name, flags))
+    assert rows == want
