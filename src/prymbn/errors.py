@@ -33,7 +33,8 @@ class InvariantViolationError(PrymBNError):
 
 
 def _integers(what: str, *values: object) -> Tuple[int, ...]:
-    """values as ints; a float, non-integral Fraction or str is refused, not truncated."""
+    """values as ints, through __index__: every float, str and Fraction (even
+    Fraction(4, 2)) is refused, not truncated; True and False pass as 1 and 0."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:

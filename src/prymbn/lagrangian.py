@@ -5,6 +5,9 @@ with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
 matrix of two-row classes, computed exactly by skew elimination over Fraction.
+``q_tilde_table`` evaluates many partitions over one Chern series: it computes
+the numerators once and each Q_(a,b) once, and ``q_tilde`` is its
+one-partition use.
 Evaluated at c_i = theta'^i/i!, the engine independently reproduces the
 closed-form coefficients in ``formulas``; the product formula ``eval_identity``
 serves as a second, Pfaffian-free oracle.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError, _integers
@@ -75,15 +78,27 @@ def _q2_coeff(a: int, b: int, n: List[int]) -> int:
     return total
 
 
+class _TwoRowTable(dict):
+    """(a, b) -> Q_(a,b) as a Fraction, each computed on first use over one (n, D^2)."""
+
+    def __init__(self, c: ChernSeries, top: int) -> None:
+        super().__init__()
+        self.n, self.d2 = _numerators(c, top)
+
+    def __missing__(self, key: Tuple[int, int]) -> Fraction:
+        q = self[key] = Fraction(_q2_coeff(*key, self.n), self.d2)
+        return q
+
+
 def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}.
 
-    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators).
+    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators),
+    as one entry of a two-row table.
     """
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
-    n, d2 = _numerators(c, a + b)
-    return ThetaClass(Fraction(_q2_coeff(a, b, n), d2), a + b, THETA_PRIME)
+    return ThetaClass(_TwoRowTable(c, a + b)[a, b], a + b, THETA_PRIME)
 
 
 def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
@@ -120,18 +135,34 @@ def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
     return result if sign == 1 else -result
 
 
+def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries, top: int) -> List[ThetaClass]:
+    """Q-tilde of each partition in lams, over one table of two-row classes up to order top.
+
+    The numerators are computed once and each Q_(a,b) once, on first use; every
+    partition gets a fresh matrix, since the Pfaffian rewrites it in place.  A
+    partition with lambda_1 + lambda_2 > top is refused, naming the order it needs.
+    """
+    table = _TwoRowTable(c, top)
+    classes = []
+    for lam in lams:
+        parts = lam.parts + (0,) * (lam.length % 2)
+        need = sum(parts[:2])
+        if need > top:
+            raise ParameterError(f"two-row table built to order {top}, need order {need}")
+        m = [[None] * (i + 1) + [table[a, b] for b in parts[i + 1 :]]
+             for i, a in enumerate(parts)]
+        classes.append(ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME))
+    return classes
+
+
 def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
     Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
-    Every entry is an integer sum over one common denominator D^2 (see _numerators).
+    A one-partition use of q_tilde_table.
     """
-    parts = lam.parts + (0,) * (lam.length % 2)
-    n, d2 = _numerators(c, sum(parts[:2]))
-    m = [[None] * (i + 1) + [Fraction(_q2_coeff(a, b, n), d2) for b in parts[i + 1 :]]
-         for i, a in enumerate(parts)]
-    return ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME)
+    return q_tilde_table([lam], c, sum(lam.parts[:2]))[0]
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:

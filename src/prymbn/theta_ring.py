@@ -59,7 +59,10 @@ class PrymSpace:
 
 
 def _rational(q: object) -> Fraction:
-    """q as a Fraction; floats, strings and Decimals are refused, not rounded."""
+    """q as a Fraction (an exact Fraction is kept, not copied); floats, strings and
+    Decimals are refused, not rounded."""
+    if type(q) is Fraction:
+        return q
     if not isinstance(q, numbers.Rational):
         raise ParameterError(f"coefficient must be an int or a Fraction, got {q!r}")
     return Fraction(q)

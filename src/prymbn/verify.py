@@ -6,9 +6,11 @@ builds its parser and dispatch from it and from ``LIMIT_FLAVORS``, and the
 staircase suites check each engine against its ratio times its closed form.
 Each suite returns a SuiteResult with the first counterexample on failure,
 marked vacuous when it checked no case.  The engine is evaluated once per
-strict partition: ``engine_classes`` builds the Q-tilde table, and two suites
-check it against the product formula ``eval_identity`` (``engine_oracle``)
-and the pointed closed form ``twisted_pointed_class`` (``pointed_equivalence``).
+strict partition: ``engine_classes`` builds one Chern series and one table of
+two-row classes per run, takes one Pfaffian per partition over it, and two
+suites check the result against the product formula ``eval_identity``
+(``engine_oracle``) and the pointed closed form ``twisted_pointed_class``
+(``pointed_equivalence``).
 """
 
 from __future__ import annotations
@@ -111,10 +113,10 @@ EngineTable = List[Tuple[StrictPartition, theta_ring.ThetaClass]]
 def engine_classes(max_weight: int) -> EngineTable:
     """(lambda, Q-tilde at c_i = theta'^i/i!) for every strict partition up to max_weight.
 
-    One Chern series serves every partition: q_tilde reads only a prefix.
+    One Chern series and one table of two-row classes serve every partition.
     """
-    c = formulas.chern_series_W(max(max_weight, 0))
-    return [(lam, lagrangian.q_tilde(lam, c)) for lam in strict_partitions(max_weight)]
+    lams, top = list(strict_partitions(max_weight)), max(max_weight, 0)
+    return list(zip(lams, lagrangian.q_tilde_table(lams, formulas.chern_series_W(top), top)))
 
 
 def _suite(name: str):

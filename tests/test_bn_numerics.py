@@ -44,12 +44,19 @@ class TestVanishingSequence:
             ((0, 1.0), "expected an integer for vanishing orders, got 1.0"),
             ((0, Fraction(1, 2)), "expected an integer for vanishing orders, got Fraction(1, 2)"),
             (("1",), "expected an integer for vanishing orders, got '1'"),
+            # Every Fraction is refused, an integral one too; it prints reduced.
+            ((0, Fraction(4, 2)), "expected an integer for vanishing orders, got Fraction(2, 1)"),
         ],
     )
     def test_refusal_messages(self, bad, message):
         with pytest.raises(ParameterError) as info:
             VanishingSequence(bad)
         assert str(info.value) == message
+
+    def test_bools_pass_as_zero_and_one(self):
+        # bool has __index__, so _integers accepts it and stores plain ints.
+        got = VanishingSequence((False, True)).entries
+        assert got == (0, 1) and all(type(e) is int for e in got)
 
     @pytest.mark.parametrize("bad", [2.7, Fraction(7, 2), "2"])
     def test_rejects_non_integer_order(self, bad):

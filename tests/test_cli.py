@@ -301,16 +301,44 @@ class TestVerify:
 
     def test_run_all_evaluates_one_q_tilde_per_partition(self, monkeypatch):
         # 761 partitions of weight <= 24, plus the staircases of r = 0..4 and
-        # the P-tilde staircases of r = 1..4.
+        # the P-tilde staircases of r = 1..4.  The partitions go through one
+        # q_tilde_table, not q_tilde, so the Pfaffian itself is counted.
         from prymbn import lagrangian
         from prymbn import verify as verify_mod
 
         calls = []
-        real = lagrangian.q_tilde
-        monkeypatch.setattr(lagrangian, "q_tilde", lambda *a: calls.append(a) or real(*a))
+        real = lagrangian._pfaffian
+        monkeypatch.setattr(lagrangian, "_pfaffian", lambda m: calls.append(len(m)) or real(m))
         results = verify_mod.run_all()
         assert all(res.passed for res in results)
         assert len(calls) == 761 + 5 + 4
+
+    def test_run_all_computes_each_two_row_class_once_per_table(self, monkeypatch):
+        # One table for the 761 partitions, one per staircase: each Q_(a,b)
+        # that a table's partitions read is computed once in that table.
+        from prymbn import lagrangian
+        from prymbn import verify as verify_mod
+
+        def pairs(lams):
+            padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams]
+            return {(a, b) for p in padded for i, a in enumerate(p) for b in p[i + 1 :]}
+
+        q2, numerators = [], []
+        real_q2, real_num = lagrangian._q2_coeff, lagrangian._numerators
+        monkeypatch.setattr(
+            lagrangian, "_q2_coeff", lambda a, b, n: q2.append((a, b)) or real_q2(a, b, n))
+        monkeypatch.setattr(
+            lagrangian, "_numerators", lambda c, top: numerators.append(top) or real_num(c, top))
+        verify_mod.engine_classes(24)
+        assert sorted(q2) == sorted(pairs(verify_mod.strict_partitions(24)))
+        assert (len(q2), numerators) == (156, [24])
+
+        q2.clear()
+        numerators.clear()
+        assert all(res.passed for res in verify_mod.run_all())
+        staircases = [lagrangian.staircase(m) for m in (1, 2, 3, 4, 5, 1, 2, 3, 4)]
+        assert len(q2) == 156 + sum(len(pairs([lam])) for lam in staircases)
+        assert numerators == [24] + [sum(lam.parts[:2]) for lam in staircases]
 
     @pytest.mark.parametrize("bounds", [(0, 0, 0), (1, 1, 0), (12, 8, 3), (24, 12, 4)])
     def test_run_all_matches_standalone_suites(self, bounds):

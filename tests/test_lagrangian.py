@@ -25,6 +25,7 @@ from prymbn.lagrangian import (
     p_tilde,
     partition_for,
     q_tilde,
+    q_tilde_table,
     q_two,
     staircase,
 )
@@ -108,7 +109,7 @@ class TestStrictPartition:
         with pytest.raises(ParameterError):
             StrictPartition(bad)
 
-    @pytest.mark.parametrize("bad", [3.9, Fraction(7, 2), "3"])
+    @pytest.mark.parametrize("bad", [3.9, Fraction(7, 2), "3", Fraction(6, 2)])
     def test_rejects_non_integer_part(self, bad):
         with pytest.raises(ParameterError, match=re.escape(repr(bad))):
             StrictPartition((bad, 1))
@@ -229,6 +230,76 @@ class TestRationalChernData:
                 assert q_two(a, b, c).coeff == literal_q2(a, b, c)
         want = laplace_pfaffian(padded, lambda a, b: literal_q2(a, b, c))
         assert q_tilde(lam, c).coeff == want
+
+
+def partition_lists(max_part):
+    """One to three strict partitions with parts in 1..max_part, for one shared table."""
+    return st.lists(
+        st.sets(st.integers(1, max_part), min_size=1, max_size=7).map(
+            lambda parts: StrictPartition(tuple(sorted(parts, reverse=True)))
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+
+class TestQTildeTable:
+    # One table serves many partitions; each gets a fresh matrix, so a row swap
+    # in one partition's Pfaffian must not reach the next.
+
+    def test_matches_q_tilde_and_laplace_to_weight_16(self):
+        lams = list(verify.strict_partitions(16))
+        for lam, got in zip(lams, q_tilde_table(lams, chern_series_W(16), 16), strict=True):
+            c = chern_series_W(lam.weight)
+            assert got == q_tilde(lam, c)
+            assert got.coeff == laplace_q_tilde(lam, c)
+
+    @given(partition_lists(11), st.data())
+    def test_zero_pivot_data_matches_laplace(self, lams, data):
+        # Chern data as in TestLaplaceOracle, long enough for every partition.
+        top = max(sum(lam.parts[:2]) for lam in lams)
+        tail = data.draw(
+            st.lists(st.sampled_from((0, 1, -1, 2)) | st.integers(-4, 4),
+                     min_size=top, max_size=top + 4)
+        )
+        c = ChernSeries((1, *tail))
+        got = [q.coeff for q in q_tilde_table(lams + lams, c, top)]
+        assert got == [laplace_q_tilde(lam, c) for lam in lams + lams]
+        assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
+
+    @given(
+        partition_lists(9),
+        st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)), min_size=17),
+    )
+    def test_rational_data_matches_literal_fractions(self, lams, tail):
+        c = ChernSeries((1, *tail))
+        got = [q.coeff for q in q_tilde_table(lams + lams, c, 17)]
+        padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams + lams]
+        assert got == [laplace_pfaffian(p, lambda a, b: literal_q2(a, b, c)) for p in padded]
+        assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
+
+    def test_row_swap_does_not_leak(self):
+        # (3, 2, 1) pivots past Q_(3,2) = Q_(3,1) = 0 (see TestLaplaceOracle);
+        # the partitions after it read the same entries unswapped.
+        c = ChernSeries((1, 0, 0, 1, 0, 0, 0))
+        lams = [StrictPartition.of(*p) for p in ((3, 2, 1), (3, 2), (3, 1), (2, 1), (3, 2, 1))]
+        got = [q.coeff for q in q_tilde_table(lams, c, 6)]
+        assert got == [laplace_q_tilde(lam, c) for lam in lams] == [-2, 0, 0, -2, -2]
+
+    @pytest.mark.parametrize("parts,order", [((4, 2), 6), ((6,), 6), ((5, 3, 1), 8)])
+    def test_refuses_partition_past_top(self, parts, order):
+        lams = [StrictPartition.of(3, 2), StrictPartition(parts)]
+        with pytest.raises(ParameterError, match=f"built to order 5, need order {order}$"):
+            q_tilde_table(lams, chern_series_W(5), 5)
+
+    def test_empty_list_and_empty_partition(self):
+        c = chern_series_W(0)
+        assert q_tilde_table([], c, 0) == []
+        assert q_tilde_table([StrictPartition(())], c, 0) == [ThetaClass(1, 0)]
+
+    def test_table_needs_the_series_to_its_top(self):
+        with pytest.raises(ParameterError, match="truncated at 4, need order 5"):
+            q_tilde_table([], chern_series_W(4), 5)
 
 
 class TestEvalIdentity:

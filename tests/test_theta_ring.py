@@ -78,6 +78,22 @@ class TestThetaClass:
         with pytest.raises(ParameterError, match=re.escape(repr(bad))):
             ThetaClass(bad, 2)
 
+    def test_exact_fraction_is_kept_not_copied(self):
+        q = Fraction(3, 7)
+        assert theta_ring._rational(q) is q
+        assert ThetaClass(q, 2).coeff is q
+
+    @pytest.mark.parametrize("value", [3, 0, -5, True])
+    def test_int_becomes_fraction(self, value):
+        got = theta_ring._rational(value)
+        assert (type(got), got) == (Fraction, Fraction(value))
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", Decimal("0.1")])
+    def test_rational_refusal_message(self, bad):
+        with pytest.raises(ParameterError) as info:
+            theta_ring._rational(bad)
+        assert str(info.value) == f"coefficient must be an int or a Fraction, got {bad!r}"
+
     @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2"])
     def test_rejects_non_integer_exponent(self, bad):
         with pytest.raises(ParameterError, match=re.escape(repr(bad))):
