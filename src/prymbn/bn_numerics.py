@@ -80,7 +80,7 @@ class DimReport:
 def rho(g: int, r: int, d: int) -> int:
     """Classical Brill-Noether number g - (r+1)(g-d+r), signed."""
     if g < 0 or r < 0 or d < 0:
-        raise ParameterError("rho requires non-negative g, r, d")
+        raise ParameterError(f"rho requires non-negative g, r, d, got {g=}, {r=}, {d=}")
     return g - (r + 1) * (g - d + r)
 
 

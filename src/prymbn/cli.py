@@ -32,9 +32,8 @@ USAGE_ERROR = 2
 INVARIANT_ERROR = 1
 
 
-def _rat(x) -> Any:
+def _rat(f: Fraction) -> Any:
     """Canonical rational: an integer, or a Fraction rendered as "p/q"."""
-    f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
 
@@ -191,9 +190,9 @@ def _render(record: Dict[str, Any], fmt: str) -> str:
         writer.writerow(keys)
         writer.writerow([flat[k] for k in keys])
         return buf.getvalue()
-    # md
+    # md: a "|" inside a cell is escaped, so that GFM reads every row as two cells
     lines = ["| key | value |", "| --- | --- |"]
-    lines += [f"| {k} | {flat[k]} |" for k in keys]
+    lines += ["| " + k + " | " + flat[k].replace("|", r"\|") + " |" for k in keys]
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,8 @@ class ChernSeries:
         coeffs = tuple(map(_rational, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs or coeffs[0] != 1:
-            raise ParameterError("a Chern series must start with q_0 = 1")
+            got = f"q_0={coeffs[0]}" if coeffs else "coeffs=()"
+            raise ParameterError(f"a Chern series must start with q_0 = 1, got {got}")
 
     @property
     def truncation(self) -> int:
@@ -47,7 +48,7 @@ class ChernSeries:
 def chern_series_W(n: int) -> ChernSeries:
     """Chern series of the dual section bundle: c_i = theta'^i / i!."""
     if n < 0:
-        raise ParameterError("truncation order must be non-negative")
+        raise ParameterError(f"truncation order must be non-negative, got {n=}")
     factorials = accumulate(range(1, n + 1), mul, initial=1)
     return ChernSeries(tuple(Fraction(1, f) for f in factorials))
 

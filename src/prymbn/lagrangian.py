@@ -56,7 +56,7 @@ class StrictPartition:
 def staircase(m: int) -> StrictPartition:
     """The partition (m, m-1, ..., 1); the empty partition for m = 0."""
     if m < 0:
-        raise ParameterError("staircase needs m >= 0")
+        raise ParameterError(f"staircase needs m >= 0, got {m=}")
     return StrictPartition(tuple(range(m, 0, -1)))
 
 

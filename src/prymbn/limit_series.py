@@ -7,8 +7,9 @@ orders of an aspect of a limit series at a node:
   bridge; aspects of degree 2g-2 on genus g-1 components.
 * ``ramified_x_plus_y``: series of norm omega(x+y) on a two-branch-point
   cover degenerating over a rational bridge; degree 2g on genus g.
-* ``ramified_dual``: the norm-omega series on the same covers, obtained
-  from ``ramified_x_plus_y`` at rank r+1 by Serre duality.
+* ``ramified_dual``: the norm-omega series on the same covers, whose
+  orders are checked against ``ramified_x_plus_y`` at rank r+1 by Serre
+  duality.
 
 ``enumerate_candidates`` generates exactly the sequences that meet the
 stated constraints, walking only prefixes that can still be completed; the
@@ -89,41 +90,24 @@ def prym_limit_vanishing_ramified(g: int, r: int) -> VanishingSequence:
 
 
 def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
-    """Norm-omega orders on the ramified cover via rank-(r+1) Serre duality.
+    """Norm-omega orders (g-r-1, g-r+1, ..., g+r-1) on the ramified cover, checked by
+    rank-(r+1) Serre duality.
 
-    Starting from the rank-(r+1) solution of the x+y problem, Riemann-Roch
-    turns the order data of the dual line bundle into the counting
-    constraints  #{j : a_j >= g+r+1-2i} = i  for 0 <= i <= r+1.  Each step
-    admits a two-element window {g+r+1-2i, g+r+2-2i}; the common-parity and
-    degree-sum constraints of the problem leave a single sequence, which
-    must agree with the closed form (g-r-1+2i).
+    Needs g >= (r+1)(r+2)/2, so that the x+y problem has a rank-(r+1) solution c.
+    Riemann-Roch turns the orders c_i of the dual line bundle into the counting
+    constraints  #{j : a_j >= 2g - c_i} = i  for 0 <= i <= r+1, which the
+    returned orders must meet.
     """
     if g - (r + 1) * (r + 2) // 2 < 0:
         raise ParameterError(
             f"no solution: rank-{r + 1} dual problem needs g >= {(r + 1) * (r + 2) // 2}"
         )
-    dual_orders = prym_limit_vanishing_ramified(g, r + 1)
-    # h^0 thresholds of the rank-r series: degree 2g minus each dual order.
-    thresholds = [2 * g - c for c in dual_orders]
-
-    # The two parity-consistent ways of picking one order per window.
-    low, high = (_centered(half, r).entries for half in (g - 1, g))
-    target = (r + 1) * (g - 1)
-    survivors = [cand for cand in (low, high) if sum(cand) == target]
-    if len(survivors) != 1:
-        raise InvariantViolationError(f"dual bookkeeping ambiguous for g={g}, r={r}")
-    result = VanishingSequence(survivors[0])
-
-    # Riemann-Roch counting check against the rank-(r+1) dual orders.
-    for i, threshold in enumerate(thresholds):
-        if sum(1 for aj in result if aj >= threshold) != i:
+    result = _centered(g - 1, r)
+    for i, c in enumerate(prym_limit_vanishing_ramified(g, r + 1)):
+        if sum(1 for aj in result if aj >= 2 * g - c) != i:
             raise InvariantViolationError(
                 f"dual order counting fails at i={i} for g={g}, r={r}"
             )
-    if result != prym_limit_vanishing(g, r):
-        raise InvariantViolationError(
-            f"dual path disagrees with closed form for g={g}, r={r}"
-        )
     return result
 
 
@@ -226,13 +210,11 @@ def additivity_report(
     g: int, r: int, a: VanishingSequence, b: VanishingSequence
 ) -> AdditivityReport:
     """Adjusted-rho bookkeeping: rho(2g-1,r,2g-2) against aspect and bridge terms."""
-    d = 2 * g - 2
-    lhs = rho(2 * g - 1, r, d)
-    rho_a = rho_pointed(g - 1, r, d, a)
-    rho_b = rho_pointed(g - 1, r, d, b)
+    p = LimitProblem(UNRAMIFIED_DELTA1, g, r)
+    lhs = rho(2 * g - 1, r, p.degree)
+    rho_a, rho_b = (rho_pointed(p.component_genus, r, p.degree, x) for x in (a, b))
     bridge = -r
-    s = g - 1 - r * (r + 1) // 2
-    equality = rho_a == s and rho_b == s and lhs == rho_a + rho_b + bridge
+    equality = rho_a == p.s == rho_b and lhs == rho_a + rho_b + bridge
     return AdditivityReport(lhs, (rho_a, rho_b), bridge, equality)
 
 

@@ -86,7 +86,7 @@ class ThetaClass:
         if self.generator not in GENERATORS:
             raise ParameterError(f"unknown generator {self.generator!r}")
         if exponent < 0:
-            raise ParameterError("exponent must be non-negative")
+            raise ParameterError(f"exponent must be non-negative, got {exponent=}")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "exponent", exponent if coeff else 0)
 

@@ -5,7 +5,9 @@ and engine with their citations, and the engine/closed-form ratio.  The CLI
 builds its parser and dispatch from it and from ``LIMIT_FLAVORS``, and the
 staircase suites check each engine against its ratio times its closed form.
 Each suite returns a SuiteResult with the first counterexample on failure,
-marked vacuous when it checked no case.  The engine is evaluated once per
+marked vacuous when it checked no case.  The suites take their bounds from
+the caller and have no defaults of their own: ``pbn verify`` defaults to
+max_weight 24, max_g 12 and max_r 4.  The engine is evaluated once per
 strict partition: ``engine_classes`` builds one Chern series and one table of
 two-row classes per run, takes one Pfaffian per partition over it, and two
 suites check the result against the product formula ``eval_identity``
@@ -15,6 +17,7 @@ suites check the result against the product formula ``eval_identity``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
@@ -177,13 +180,13 @@ def _staircase(locus: str, ranks: range) -> Iterator[Optional[str]]:
 
 
 @_suite("staircase_relation")
-def suite_staircase_relation(max_r: int = 6) -> Iterator[Optional[str]]:
+def suite_staircase_relation(max_r: int) -> Iterator[Optional[str]]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
     return _staircase("V_eta", range(max_r + 1))
 
 
 @_suite("unramified_reproduction")
-def suite_unramified_reproduction(max_r: int = 8) -> Iterator[Optional[str]]:
+def suite_unramified_reproduction(max_r: int) -> Iterator[Optional[str]]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
     return _staircase("V_unramified", range(1, max_r + 1))
 
@@ -194,7 +197,7 @@ def dimension_zero_genus(k: int, r: int) -> int:
 
 
 @_suite("count_integrality")
-def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
+def suite_count_integrality(max_r: int) -> Iterator[Optional[str]]:
     """Counts at the dimension-zero genus are positive integers (calibrated k)."""
     for k in (k for flavor, k in _CALIBRATED if flavor == theta_ring.RAMIFIED_TWISTED):
         for r in range(max_r + 1):
@@ -211,7 +214,7 @@ def suite_count_integrality(max_r: int = 5) -> Iterator[Optional[str]]:
 
 
 @_suite("limit_solver")
-def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str]]:
+def suite_limit_solver(max_g: int, max_r: int) -> Iterator[Optional[str]]:
     """solve_unique agrees with the closed forms wherever s >= 0."""
     for flavor, closed_form in LIMIT_FLAVORS.values():
         for g in range(2, max_g + 1):
@@ -231,7 +234,7 @@ def suite_limit_solver(max_g: int = 12, max_r: int = 4) -> Iterator[Optional[str
 
 
 @_suite("w_consistency")
-def suite_w_consistency(max_g: int = 30, max_r: int = 6) -> Iterator[Optional[str]]:
+def suite_w_consistency(max_g: int, max_r: int) -> Iterator[Optional[str]]:
     """Pointed W-locus dimension matches the unramified expected dimension."""
     for g in range(2, max_g + 1):
         for r in range(max_r + 1):
@@ -244,17 +247,24 @@ def suite_w_consistency(max_g: int = 30, max_r: int = 6) -> Iterator[Optional[st
 
 
 @_suite("degree_table")
-def suite_degree_table(max_g: int = 30) -> Iterator[Optional[str]]:
-    """Top self-intersections match the calibration table."""
+def suite_degree_table(max_g: int) -> Iterator[Optional[str]]:
+    """Top self-intersections match Riemann-Roch on the torsor: theta^dim = dim! chi,
+    chi = 2^g on the twisted torsors (polarization type (1,...,1,2,...,2), g twos;
+    Birkenhake-Lange, Complex Abelian Varieties, ch. 12) and chi = 1 on P+/P-."""
     for g in range(2, max_g + 1):
         for flavor, k in _CALIBRATED:
             space = theta_ring.make_space(flavor, g, k)
             top = theta_ring.degree(theta_ring.ThetaClass(1, space.dim, space.generator), space)
-            yield None if top == space.theta_top else f"{flavor} g={g} k={k}: {top}"
+            chi = 1 if flavor == theta_ring.UNRAMIFIED_PM else 2**g
+            want = math.factorial(space.dim) * chi
+            yield None if top == want else f"{flavor} g={g} k={k}: {top} != {want}"
 
 
-def run_all(max_weight: int = 24, max_g: int = 12, max_r: int = 4) -> List[SuiteResult]:
-    """Run every suite at the given bounds, in a fixed order; one engine table serves two."""
+def run_all(max_weight: int, max_g: int, max_r: int) -> List[SuiteResult]:
+    """Run every suite at the caller's bounds, in a fixed order; one engine table serves two.
+
+    The bounds have no defaults here: ``pbn verify`` holds them (24, 12, 4).
+    """
     engines = engine_classes(max_weight)
     return [
         suite_engine_oracle(engines),

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import shlex
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from prymbn import cli, formulas, lagrangian, limit_series, verify
+from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, verify
 from prymbn.errors import ParameterError
 from prymbn.theta_ring import ThetaClass
 
@@ -309,7 +310,7 @@ class TestVerify:
         calls = []
         real = lagrangian._pfaffian
         monkeypatch.setattr(lagrangian, "_pfaffian", lambda m: calls.append(len(m)) or real(m))
-        results = verify_mod.run_all()
+        results = verify_mod.run_all(24, 12, 4)
         assert all(res.passed for res in results)
         assert len(calls) == 761 + 5 + 4
 
@@ -335,7 +336,7 @@ class TestVerify:
 
         q2.clear()
         numerators.clear()
-        assert all(res.passed for res in verify_mod.run_all())
+        assert all(res.passed for res in verify_mod.run_all(24, 12, 4))
         staircases = [lagrangian.staircase(m) for m in (1, 2, 3, 4, 5, 1, 2, 3, 4)]
         assert len(q2) == 156 + sum(len(pairs([lam])) for lam in staircases)
         assert numerators == [24] + [sum(lam.parts[:2]) for lam in staircases]
@@ -403,6 +404,17 @@ class TestVerify:
         assert res.counterexample.startswith("r=1:")
         assert "ratio 1 x" in res.counterexample
 
+    def test_degree_table_checks_riemann_roch_not_the_table(self, monkeypatch):
+        # theta'^(g+1) on the 4-branch-point torsor is (g+1)! 2^g; one more is caught.
+        from prymbn import theta_ring
+
+        key = (theta_ring.RAMIFIED_TWISTED, 2)
+        shift, top = theta_ring._SPACES[key]
+        monkeypatch.setitem(theta_ring._SPACES, key, (shift, lambda g: top(g) + 1))
+        res = verify.suite_degree_table(30)
+        assert (res.cases, res.passed) == (3, False)
+        assert res.counterexample == "ramified_twisted g=2 k=2: 25 != 24"
+
     @pytest.mark.parametrize("bound", [0, -1])
     def test_pointed_equivalence_vacuous_below_one(self, bound):
         from prymbn import verify as verify_mod
@@ -457,6 +469,26 @@ class TestRefusalsNameTheValue:
         with pytest.raises(ParameterError, match="rank must be non-negative, got r=-3"):
             engine(-3)
 
+    @pytest.mark.parametrize(
+        "call,text,named",
+        [
+            (lambda: bn_numerics.rho(3, -1, 2), "rho requires non-negative g, r, d",
+             "g=3, r=-1, d=2"),
+            (lambda: formulas.chern_series_W(-2), "truncation order must be non-negative",
+             "n=-2"),
+            (lambda: formulas.ChernSeries((2, 1)), "a Chern series must start with q_0 = 1",
+             "q_0=2"),
+            (lambda: formulas.ChernSeries(()), "a Chern series must start with q_0 = 1",
+             "coeffs=()"),
+            (lambda: lagrangian.staircase(-1), "staircase needs m >= 0", "m=-1"),
+            (lambda: ThetaClass(1, -2), "exponent must be non-negative", "exponent=-2"),
+        ],
+    )
+    def test_library_refusal_names_the_value(self, call, text, named):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == f"{text}, got {named}"
+
 
 class TestFormats:
     def test_csv_round_trip(self):
@@ -476,6 +508,20 @@ class TestFormats:
         assert code == 0
         assert out.startswith("| key | value |")
         assert "| result.solution | [4,6] |" in out
+
+    def test_md_escapes_the_cell_separator(self):
+        # The citation "... g+k-r-2-|a| ..." holds two "|": escaped, every row
+        # is still two GFM cells, and md, csv and json flatten to one key map.
+        argv = ("dim", "--locus", "V_eta_pointed", "--g", "5", "--k", "1", "--a", "0,2")
+        code, out, _ = run_cli("--format", "md", *argv)
+        assert code == 0
+        assert "-2-\\|a\\| of" in out
+        for line in out.splitlines():
+            assert len(_gfm_cells(line)) == 2, line
+        keys = _json_keys(run_cli(*argv)[1])
+        assert "|a|" in keys["citations"]
+        assert _table_keys(out, "md") == keys
+        assert _table_keys(run_cli("--format", "csv", *argv)[1], "csv") == keys
 
     def test_json_is_canonical(self):
         _, out1, _ = run_cli("count", "--g", "3", "--k", "1", "--r", "1")
@@ -607,7 +653,14 @@ def _table_keys(out, fmt):
         return dict(zip(header, row))
     lines = out.splitlines()
     assert lines[:2] == ["| key | value |", "| --- | --- |"]
-    return dict(line[2:-2].split(" | ", 1) for line in lines[2:])
+    return dict(_gfm_cells(line) for line in lines[2:])
+
+
+def _gfm_cells(line):
+    """The cells of a GFM table row, split at unescaped "|", with "\\|" unescaped."""
+    cells = re.split(r"(?<!\\)\|", line)
+    assert cells[0] == cells[-1] == "", line
+    return [c[1:-1].replace("\\|", "|") for c in cells[1:-1]]
 
 
 class TestContract:

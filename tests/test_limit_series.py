@@ -151,6 +151,18 @@ class TestDual:
         with pytest.raises(ParameterError):
             prym_limit_vanishing_dual(2, 2)
 
+    @pytest.mark.parametrize("shift,i", [(2, 0), (-1, 1)])
+    def test_counting_check_reads_the_rank_r_plus_1_orders(self, monkeypatch, shift, i):
+        # Shifted rank-3 orders break the Riemann-Roch count #{j : a_j >= 2g - c_i} = i.
+        real = limit_series.prym_limit_vanishing_ramified
+        monkeypatch.setattr(
+            limit_series, "prym_limit_vanishing_ramified",
+            lambda g, r: VanishingSequence(tuple(c + shift for c in real(g, r))),
+        )
+        with pytest.raises(InvariantViolationError) as info:
+            prym_limit_vanishing_dual(6, 2)
+        assert str(info.value) == f"dual order counting fails at i={i} for g=6, r=2"
+
 
 class TestEnumerate:
     def test_g5_r1(self):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -54,3 +55,14 @@ def test_readme_locus_table_matches_the_registry():
         if locus.closed_form:
             want.add(("class", name, flags))
     assert rows == want
+
+
+def test_verify_bounds_have_no_defaults():
+    # pbn verify's parser holds the only default bounds.
+    from prymbn import verify
+
+    suites = [getattr(verify, n) for n in dir(verify) if n.startswith("suite_")]
+    assert len(suites) == 8
+    for fn in [verify.run_all, *suites]:
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
