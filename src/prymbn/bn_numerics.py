@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .errors import ParameterError, _integers
+from .errors import ParameterError, _at_least, _integers
 
 THEOREM_EXACT = "theorem_exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -34,9 +34,9 @@ class VanishingSequence:
         entries = _integers("vanishing orders", *self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
-            raise ParameterError("vanishing sequence must be non-empty")
+            raise ParameterError("vanishing sequence must be non-empty, got entries=()")
         if entries[0] < 0:
-            raise ParameterError("vanishing orders must be non-negative")
+            raise ParameterError(f"vanishing orders must be non-negative, got {entries=}")
         if not all(map(operator.lt, entries, entries[1:])):
             raise ParameterError(f"vanishing orders must strictly increase: {entries}")
 
@@ -79,20 +79,18 @@ class DimReport:
 
 def rho(g: int, r: int, d: int) -> int:
     """Classical Brill-Noether number g - (r+1)(g-d+r), signed."""
-    if g < 0 or r < 0 or d < 0:
-        raise ParameterError(f"rho requires non-negative g, r, d, got {g=}, {r=}, {d=}")
+    g, r, d = _at_least("rho requires non-negative g, r, d", (0, 0, 0), g=g, r=r, d=d)
     return g - (r + 1) * (g - d + r)
 
 
 def rho_pointed(g: int, r: int, d: int, a: VanishingSequence) -> int:
     """rho adjusted by prescribed vanishing: rho(g,r,d) - sum(a_i - i)."""
+    value = rho(g, r, d)  # reads g, r and d as ints first
     if len(a) != r + 1:
-        raise ParameterError(
-            f"sequence has {len(a)} entries, expected r+1 = {r + 1}"
-        )
+        raise ParameterError(f"sequence has {len(a)} entries, expected r+1 = {r + 1}")
     if a[-1] > d:
         raise ParameterError(f"top vanishing order {a[-1]} exceeds degree {d}")
-    return rho(g, r, d) - sum(ai - i for i, ai in enumerate(a))
+    return value - sum(ai - i for i, ai in enumerate(a))
 
 
 def expected_dim_V(g: int, k: int, r: int) -> DimReport:
@@ -101,9 +99,8 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     The general lower bound g-1+k-k(r+1)-r(r+1)/2 is exact for k = 0 and
     k = 1; for larger k only the bound is known.
     """
-    if g < 2 or k < 0 or r < 0:
-        raise ParameterError(
-            f"expected_dim_V requires g >= 2, k >= 0, r >= 0, got {g=}, {k=}, {r=}")
+    g, k, r = _at_least("expected_dim_V requires g >= 2, k >= 0, r >= 0", (2, 0, 0),
+                        g=g, k=k, r=r)
     value = g - 1 + k - k * (r + 1) - r * (r + 1) // 2
     if k == 0:
         source = "exact dimension g-1-r(r+1)/2 of the norm-omega locus (unramified)"
@@ -120,12 +117,12 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     return DimReport(value, exactness, emptiness, source)
 
 
-def _check_twisted(g: int, k: int) -> None:
-    """Hypotheses shared by the twisted loci: g >= 1 and k in {0, 1, 2}."""
-    if g < 1:
-        raise ParameterError(f"twisted loci need g >= 1, got {g}")
+def _check_twisted(g: int, k: int) -> Tuple[int, int]:
+    """Hypotheses shared by the twisted loci: g >= 1 and k in {0, 1, 2}; g, k as ints."""
+    g, k = _at_least("twisted loci need g >= 1", (1,), g=g, k=k)
     if k not in (0, 1, 2):
-        raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k}")
+        raise ParameterError(f"twisted loci are supported for k in {{0,1,2}}, got {k=}")
+    return g, k
 
 
 def _twisted_emptiness(value: int, k: int) -> str:
@@ -140,9 +137,8 @@ def _twisted_emptiness(value: int, k: int) -> str:
 
 def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
     """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
-    _check_twisted(g, k)
-    if r < 0:
-        raise ParameterError(f"rank must be non-negative, got {r=}")
+    g, k = _check_twisted(g, k)
+    (r,) = _at_least("rank must be non-negative", (0,), r=r)
     value = g + k - 1 - (r + 1) * (r + 2) // 2
     source = "exact dimension g+k-1-(r+1)(r+2)/2 of the twisted locus"
     return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
@@ -150,7 +146,7 @@ def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
 
 def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimReport:
     """Twisted locus with prescribed vanishing a at a generic point."""
-    _check_twisted(g, k)
+    g, k = _check_twisted(g, k)
     if a[-1] > 2 * g - 2 + k:
         raise ParameterError(
             f"top vanishing order {a[-1]} exceeds 2g-2+k = {2 * g - 2 + k}"
@@ -162,9 +158,8 @@ def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimRepor
 
 def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     """Norm-omega locus twisted down by a generic effective divisor of degree d."""
-    if g < 2 or k < 0 or r < 0 or d < 0:
-        raise ParameterError(
-            f"invalid parameters for divisor-twisted locus, got {g=}, {k=}, {r=}, {d=}")
+    g, k, r, d = _at_least("invalid parameters for divisor-twisted locus", (2, 0, 0, 0),
+                           g=g, k=k, r=r, d=d)
     value = g - 1 + k - (d + k) * (r + 1) - r * (r + 1) // 2
     if k == 0:
         source = "exact dimension g-1-r(r+1)/2-d(r+1) of the divisor-twisted locus"
@@ -178,9 +173,8 @@ def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
 
 def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     """Twisted locus further twisted down by an effective divisor of degree d."""
-    _check_twisted(g, k)
-    if r < 0 or d < 0:
-        raise ParameterError(f"rank and divisor degree must be non-negative, got {r=}, {d=}")
+    g, k = _check_twisted(g, k)
+    r, d = _at_least("rank and divisor degree must be non-negative", (0, 0), r=r, d=d)
     value = g - 1 + k - d * (r + 1) - (r + 1) * (r + 2) // 2
     source = "exact dimension g-1+k-(r+1)(r+2)/2-d(r+1) of the twisted divisor locus"
     return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import formulas, theta_ring, verify
 from .bn_numerics import VanishingSequence
-from .errors import InvariantViolationError, ParameterError, PrymBNError
+from .errors import InvariantViolationError, ParameterError, PrymBNError, _at_least
 from .limit_series import LimitProblem, enumerate_candidates, solve_unique
 from .theta_ring import ThetaClass
 
@@ -129,9 +129,7 @@ def _cmd_limits(args) -> _Reply:
 
 def _cmd_verify(args) -> _Reply:
     params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
-    bad = ", ".join(f"{k}={v}" for k, v in params.items() if v < 0)
-    if bad:
-        raise ParameterError(f"verification bounds must be non-negative, got {bad}")
+    _at_least("verification bounds must be non-negative", (0, 0, 0), **params)
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
     suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)

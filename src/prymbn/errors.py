@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all prymbn modules, and the one integer check."""
+"""Exception hierarchy shared by all prymbn modules, and the one integer gate: _at_least
+reads each integer parameter through _integers under its own name, and refuses one below
+its bound as "<text>, got name=value, ...", naming every value of the call."""
 
 import operator
 from typing import Tuple
@@ -40,3 +42,14 @@ def _integers(what: str, *values: object) -> Tuple[int, ...]:
     except TypeError:
         bad = next(v for v in values if not hasattr(v, "__index__"))
         raise ParameterError(f"expected an integer for {what}, got {bad!r}") from None
+
+
+def _at_least(text: str, lows: Tuple[int, ...], **values: object) -> Tuple[int, ...]:
+    """The values as ints, each at least its bound in lows; those past the end are only read."""
+    try:
+        ints = tuple(map(operator.index, values.values()))
+    except TypeError:  # _integers refuses the first non-integer under its own name
+        ints = tuple(i for name, v in values.items() for i in _integers(name, v))
+    if any(map(operator.lt, ints, lows)):
+        raise ParameterError(f"{text}, got " + ", ".join(map("{}={}".format, values, ints)))
+    return ints

@@ -20,7 +20,7 @@ from typing import Tuple
 
 from . import theta_ring
 from .bn_numerics import VanishingSequence
-from .errors import IntegralityError, ParameterError
+from .errors import IntegralityError, ParameterError, _at_least
 from .theta_ring import THETA_PRIME, XI, PrymSpace, ThetaClass, _rational
 
 
@@ -47,8 +47,7 @@ class ChernSeries:
 
 def chern_series_W(n: int) -> ChernSeries:
     """Chern series of the dual section bundle: c_i = theta'^i / i!."""
-    if n < 0:
-        raise ParameterError(f"truncation order must be non-negative, got {n=}")
+    (n,) = _at_least("truncation order must be non-negative", (0,), n=n)
     factorials = accumulate(range(1, n + 1), mul, initial=1)
     return ChernSeries(tuple(Fraction(1, f) for f in factorials))
 
@@ -63,8 +62,7 @@ def twisted_class(r: int) -> ThetaClass:
 
     prod_{i=1}^{r+1} i!/(2i)! * theta'^e = theta'^e / (2^e prod_{i=1}^{r+1} (2i-1)!!).
     """
-    if r < 0:
-        raise ParameterError(f"rank must be non-negative, got {r=}")
+    (r,) = _at_least("rank must be non-negative", (0,), r=r)
     e = (r + 1) * (r + 2) // 2
     return ThetaClass(Fraction(1, 2**e * _double_factorials(r + 1)), e, THETA_PRIME)
 
@@ -86,8 +84,7 @@ def unramified_class(r: int) -> ThetaClass:
 
     2^e prod_{i=1}^{r} i!/(2i)! * xi^e = xi^e / prod_{i=1}^{r} (2i-1)!!.
     """
-    if r < 0:
-        raise ParameterError(f"rank must be non-negative, got {r=}")
+    (r,) = _at_least("rank must be non-negative", (0,), r=r)
     return ThetaClass(Fraction(1, _double_factorials(r)), r * (r + 1) // 2, XI)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
-from .errors import ParameterError, _integers
+from .errors import ParameterError, _at_least, _integers
 from .formulas import ChernSeries, chern_series_W
 from .theta_ring import THETA_PRIME, ThetaClass, substitute_theta_prime_as_2xi
 
@@ -55,8 +55,7 @@ class StrictPartition:
 
 def staircase(m: int) -> StrictPartition:
     """The partition (m, m-1, ..., 1); the empty partition for m = 0."""
-    if m < 0:
-        raise ParameterError(f"staircase needs m >= 0, got {m=}")
+    (m,) = _at_least("staircase needs m >= 0", (0,), m=m)
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
@@ -96,6 +95,7 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     Summed over integers n_i = c_i D and divided once by D^2 (see _numerators),
     as one entry of a two-row table.
     """
+    a, b = _integers("a and b", a, b)
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
     return ThetaClass(_TwoRowTable(c, a + b)[a, b], a + b, THETA_PRIME)
@@ -135,20 +135,18 @@ def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
     return result if sign == 1 else -result
 
 
-def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries, top: int) -> List[ThetaClass]:
-    """Q-tilde of each partition in lams, over one table of two-row classes up to order top.
+def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> List[ThetaClass]:
+    """Q-tilde of each partition in lams, over one table of two-row classes.
 
-    The numerators are computed once and each Q_(a,b) once, on first use; every
-    partition gets a fresh matrix, since the Pfaffian rewrites it in place.  A
-    partition with lambda_1 + lambda_2 > top is refused, naming the order it needs.
+    The table reaches order max lambda_1 + lambda_2 over lams (_numerators refuses a
+    shorter Chern series); its numerators and each Q_(a,b) are computed once, on first
+    use.  Every partition gets a fresh matrix: the Pfaffian rewrites it in place.
     """
-    table = _TwoRowTable(c, top)
+    lams = list(lams)
+    table = _TwoRowTable(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
     classes = []
     for lam in lams:
         parts = lam.parts + (0,) * (lam.length % 2)
-        need = sum(parts[:2])
-        if need > top:
-            raise ParameterError(f"two-row table built to order {top}, need order {need}")
         m = [[None] * (i + 1) + [table[a, b] for b in parts[i + 1 :]]
              for i, a in enumerate(parts)]
         classes.append(ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME))
@@ -162,7 +160,7 @@ def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
     A one-partition use of q_tilde_table.
     """
-    return q_tilde_table([lam], c, sum(lam.parts[:2]))[0]
+    return q_tilde_table([lam], c)[0]
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
@@ -188,15 +186,13 @@ def lagrangian_class_pointed(a: VanishingSequence) -> ThetaClass:
 
 def lagrangian_class_twisted(r: int) -> ThetaClass:
     """Engine value of the twisted class: Q-tilde at the staircase of length r+1."""
-    if r < 0:
-        raise ParameterError(f"rank must be non-negative, got {r=}")
+    (r,) = _at_least("rank must be non-negative", (0,), r=r)
     return _at_W(q_tilde, staircase(r + 1))
 
 
 def lagrangian_class_unramified(r: int) -> ThetaClass:
     """Engine value of the P+/P- class: P-tilde at staircase(r) in xi (1 at r = 0)."""
-    if r < 0:
-        raise ParameterError(f"rank must be non-negative, got {r=}")
+    (r,) = _at_least("rank must be non-negative", (0,), r=r)
     return substitute_theta_prime_as_2xi(_at_W(p_tilde, staircase(r)))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
-from .errors import InvariantViolationError, ParameterError, _integers
+from .errors import InvariantViolationError, ParameterError, _at_least, _integers
 
 UNRAMIFIED_DELTA1 = "unramified_delta1"
 RAMIFIED_X_PLUS_Y = "ramified_x_plus_y"
@@ -41,9 +41,7 @@ class LimitProblem:
     def __post_init__(self) -> None:
         if self.flavor not in FLAVORS:
             raise ParameterError(f"unknown flavor {self.flavor!r}")
-        g, r = _integers("g and r", self.g, self.r)
-        if g < 1 or r < 0:
-            raise ParameterError(f"need g >= 1 and r >= 0, got {g=}, {r=}")
+        g, r = _at_least("need g >= 1 and r >= 0", (1, 0), g=self.g, r=self.r)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
 
@@ -66,27 +64,25 @@ class LimitProblem:
 
 def complementary_vanishing(d: int, a: VanishingSequence) -> VanishingSequence:
     """The node-complementary sequence b with b_{r-i} = d - a_i."""
-    if a[-1] > d:
-        raise ParameterError(f"top vanishing order {a[-1]} exceeds degree {d}")
+    (d,) = _at_least(f"top vanishing order {a[-1]} exceeds degree d", (a[-1],), d=d)
     return VanishingSequence(tuple(d - ai for ai in reversed(a.entries)))
 
 
-def _centered(half: int, r: int) -> VanishingSequence:
-    """The orders (h-r, h-r+2, ..., h+r) centred on h = half the degree."""
-    s = half - r * (r + 1) // 2
-    if s < 0:
-        raise ParameterError(f"no solution: s = {s} < 0")
-    return VanishingSequence(tuple(half - r + 2 * i for i in range(r + 1)))
+def _centered(p: LimitProblem) -> VanishingSequence:
+    """The orders (h-r, h-r+2, ..., h+r) of p, centred on h = half its degree."""
+    if p.s < 0:
+        raise ParameterError(f"no solution: s = {p.s} < 0")
+    return VanishingSequence(tuple(range(p.degree // 2 - p.r, p.degree // 2 + p.r + 1, 2)))
 
 
 def prym_limit_vanishing(g: int, r: int) -> VanishingSequence:
     """Closed form (g-r-1, g-r+1, ..., g+r-1) for the elliptic-bridge problem."""
-    return _centered(g - 1, r)
+    return _centered(LimitProblem(UNRAMIFIED_DELTA1, g, r))
 
 
 def prym_limit_vanishing_ramified(g: int, r: int) -> VanishingSequence:
     """Closed form (g-r, g-r+2, ..., g+r) for the rational-bridge problem."""
-    return _centered(g, r)
+    return _centered(LimitProblem(RAMIFIED_X_PLUS_Y, g, r))
 
 
 def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
@@ -98,15 +94,14 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
     constraints  #{j : a_j >= 2g - c_i} = i  for 0 <= i <= r+1, which the
     returned orders must meet.
     """
-    if g - (r + 1) * (r + 2) // 2 < 0:
-        raise ParameterError(
-            f"no solution: rank-{r + 1} dual problem needs g >= {(r + 1) * (r + 2) // 2}"
-        )
-    result = _centered(g - 1, r)
-    for i, c in enumerate(prym_limit_vanishing_ramified(g, r + 1)):
-        if sum(1 for aj in result if aj >= 2 * g - c) != i:
+    p = LimitProblem(RAMIFIED_DUAL, g, r)
+    need = (p.r + 1) * (p.r + 2) // 2
+    _at_least(f"no solution: rank-{p.r + 1} dual problem needs g >= {need}", (need,), g=p.g)
+    result = _centered(p)
+    for i, c in enumerate(prym_limit_vanishing_ramified(p.g, p.r + 1)):
+        if sum(1 for aj in result if aj >= 2 * p.g - c) != i:
             raise InvariantViolationError(
-                f"dual order counting fails at i={i} for g={g}, r={r}"
+                f"dual order counting fails at i={i} for g={p.g}, r={p.r}"
             )
     return result
 
@@ -165,11 +160,9 @@ def solve_unique(
     ``candidates`` is ``enumerate_candidates(p)`` when the caller already
     has it; by default it is enumerated here.
     """
-    if p.s < 0:
-        raise ParameterError(f"no solution: s = {p.s} < 0")
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
-
+    closed = _centered(p)  # refuses s < 0
     if candidates is None:
         candidates = enumerate_candidates(p)
     if p.flavor == UNRAMIFIED_DELTA1:
@@ -177,7 +170,6 @@ def solve_unique(
     else:
         low, high = p.g - p.r, p.g + p.r
         survivors = [a for a in candidates if a.entries[0] == low and a.entries[-1] == high]
-    closed = _centered(p.degree // 2, p.r)
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"{p.flavor} g={p.g} r={p.r}: expected a unique survivor, "
@@ -220,4 +212,5 @@ def additivity_report(
 
 def w_locus_expected_dim(g_y: int, d: int, a: VanishingSequence) -> int:
     """Expected dimension of the pointed locus W^r_{d,a}: the adjusted rho."""
+    (g_y,) = _integers("g_y", g_y)
     return rho_pointed(g_y, a.r, d, a)

@@ -27,6 +27,7 @@ from .errors import (
     GeneratorMismatchError,
     ParameterError,
     UnsupportedSpaceError,
+    _at_least,
     _integers,
 )
 
@@ -106,10 +107,9 @@ _SPACES = {
 
 def make_space(flavor: str, g: int, k: int) -> PrymSpace:
     """Build the torsor for a genus-g base curve with 2k branch points."""
+    g, k = _at_least("genus must be at least 2", (2,), g=g, k=k)
     if (flavor, k) not in _SPACES:
         raise ParameterError(f"no {flavor!r} torsor with k = {k}")
-    if g < 2:
-        raise ParameterError(f"genus must be at least 2, got {g}")
     shift, top = _SPACES[flavor, k]
     return PrymSpace(flavor, g, k, g + shift, None if top is None else top(g))
 

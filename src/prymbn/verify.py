@@ -118,8 +118,8 @@ def engine_classes(max_weight: int) -> EngineTable:
 
     One Chern series and one table of two-row classes serve every partition.
     """
-    lams, top = list(strict_partitions(max_weight)), max(max_weight, 0)
-    return list(zip(lams, lagrangian.q_tilde_table(lams, formulas.chern_series_W(top), top)))
+    lams, c = list(strict_partitions(max_weight)), formulas.chern_series_W(max(max_weight, 0))
+    return list(zip(lams, lagrangian.q_tilde_table(lams, c)))
 
 
 def _suite(name: str):

@@ -39,8 +39,8 @@ class TestVanishingSequence:
         [
             ((0, 0), "vanishing orders must strictly increase: (0, 0)"),
             ((3, 1), "vanishing orders must strictly increase: (3, 1)"),
-            ((-1, 2), "vanishing orders must be non-negative"),
-            ((), "vanishing sequence must be non-empty"),
+            ((-1, 2), "vanishing orders must be non-negative, got entries=(-1, 2)"),
+            ((), "vanishing sequence must be non-empty, got entries=()"),
             ((0, 1.0), "expected an integer for vanishing orders, got 1.0"),
             ((0, Fraction(1, 2)), "expected an integer for vanishing orders, got Fraction(1, 2)"),
             (("1",), "expected an integer for vanishing orders, got '1'"),

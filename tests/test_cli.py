@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, verify
-from prymbn.errors import ParameterError
+from prymbn.errors import IntegralityError, InvariantViolationError, ParameterError
 from prymbn.theta_ring import ThetaClass
 
 GOLDEN_COMMANDS = (Path(__file__).parent / "golden" / "commands.txt").read_text().splitlines()
@@ -190,7 +190,7 @@ class TestCount:
             # dimension 0, but the k = 0 torsor has no calibrated top degree
             (4, 0, 1, "top self-intersection is not available on the unramified twisted torsor"),
             (6, 0, 2, "expected dimension is -1, not 0; no finite count at g=6, k=0, r=2"),
-            (4, 3, 1, "twisted loci are supported for k in {0,1,2}, got 3"),
+            (4, 3, 1, "twisted loci are supported for k in {0,1,2}, got k=3"),
         ],
     )
     def test_uncalibrated_k_refused(self, g, k, r, named):
@@ -453,6 +453,9 @@ class TestRefusalsNameTheValue:
              "max_weight=-1"),
             ("verify --max-g 2 --max-r -1", "verification bounds must be non-negative",
              "max_r=-1"),
+            ("count --g 4 --k 3 --r 1", "twisted loci are supported for k in {0,1,2}", "k=3"),
+            ("dim --locus V_eta_pointed --g 5 --k 1 --a=-1,2",
+             "vanishing orders must be non-negative", "entries=(-1, 2)"),
         ],
     )
     def test_refusal_names_the_value(self, argv, text, named):
@@ -482,12 +485,69 @@ class TestRefusalsNameTheValue:
              "coeffs=()"),
             (lambda: lagrangian.staircase(-1), "staircase needs m >= 0", "m=-1"),
             (lambda: ThetaClass(1, -2), "exponent must be non-negative", "exponent=-2"),
+            (lambda: bn_numerics.expected_dim_V_eta(5, 3, 1),
+             "twisted loci are supported for k in {0,1,2}", "k=3"),
+            (lambda: bn_numerics.VanishingSequence(()), "vanishing sequence must be non-empty",
+             "entries=()"),
+            (lambda: bn_numerics.VanishingSequence((-1, 2)),
+             "vanishing orders must be non-negative", "entries=(-1, 2)"),
         ],
     )
     def test_library_refusal_names_the_value(self, call, text, named):
         with pytest.raises(ParameterError) as info:
             call()
         assert str(info.value) == f"{text}, got {named}"
+
+
+def _raising(exc_type):
+    def fail(*args):
+        raise exc_type("injected")
+
+    return fail
+
+
+class TestInvariantViolationExits:
+    """Exit 1 on an injected fault: a failed internal cross-check, or a failed suite."""
+
+    @staticmethod
+    def _assert_violation(argv, message):
+        code, out, err = run_cli(*argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith(f"pbn: invariant violation: {message}")
+
+    def test_no_unique_survivor_exits_one(self, monkeypatch):
+        monkeypatch.setattr(limit_series, "_endpoint_filter_unramified", lambda g, r, a: True)
+        self._assert_violation("limits --flavor unramified --g 5 --r 1",
+                               "unramified_delta1 g=5 r=1: expected a unique survivor")
+
+    def test_survivor_off_the_closed_form_exits_one(self, monkeypatch):
+        real = limit_series._centered
+        monkeypatch.setattr(limit_series, "_centered", lambda p: bn_numerics.VanishingSequence(
+            tuple(x + 2 for x in real(p))))
+        self._assert_violation(
+            "limits --flavor ramified --g 5 --r 1",
+            "ramified_x_plus_y g=5 r=1: survivor (4, 6) differs from closed form (6, 8)")
+
+    @pytest.mark.parametrize(
+        "module,name,fake,suite,counterexample",
+        [
+            (verify, "solve_unique", _raising(InvariantViolationError), "limit_solver",
+             "unramified_delta1 g=2 r=0: injected"),
+            (formulas, "count_points", _raising(IntegralityError), "count_integrality",
+             "k=1 r=1 g=3: injected"),
+            (lagrangian, "partition_for", lambda a: lagrangian.StrictPartition.of(9),
+             "pointed_equivalence", "a=(1,): partition_for gives (9,), not (2,)"),
+        ],
+    )
+    def test_failed_suite_exits_one(self, monkeypatch, module, name, fake, suite,
+                                    counterexample):
+        monkeypatch.setattr(module, name, fake)
+        code, out, err = run_cli("verify", "--max-weight", "2", "--max-g", "2", "--max-r", "1")
+        assert (code, err) == (1, "")
+        rec = json.loads(out)
+        assert rec["result"]["all_passed"] is False
+        failed = [s for s in rec["result"]["suites"] if not s["passed"]]
+        assert [(s["name"], s["counterexample"]) for s in failed] == [(suite, counterexample)]
 
 
 class TestFormats:

@@ -249,7 +249,7 @@ class TestQTildeTable:
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
         lams = list(verify.strict_partitions(16))
-        for lam, got in zip(lams, q_tilde_table(lams, chern_series_W(16), 16), strict=True):
+        for lam, got in zip(lams, q_tilde_table(lams, chern_series_W(16)), strict=True):
             c = chern_series_W(lam.weight)
             assert got == q_tilde(lam, c)
             assert got.coeff == laplace_q_tilde(lam, c)
@@ -263,7 +263,7 @@ class TestQTildeTable:
                      min_size=top, max_size=top + 4)
         )
         c = ChernSeries((1, *tail))
-        got = [q.coeff for q in q_tilde_table(lams + lams, c, top)]
+        got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         assert got == [laplace_q_tilde(lam, c) for lam in lams + lams]
         assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
 
@@ -273,7 +273,7 @@ class TestQTildeTable:
     )
     def test_rational_data_matches_literal_fractions(self, lams, tail):
         c = ChernSeries((1, *tail))
-        got = [q.coeff for q in q_tilde_table(lams + lams, c, 17)]
+        got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams + lams]
         assert got == [laplace_pfaffian(p, lambda a, b: literal_q2(a, b, c)) for p in padded]
         assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
@@ -283,23 +283,24 @@ class TestQTildeTable:
         # the partitions after it read the same entries unswapped.
         c = ChernSeries((1, 0, 0, 1, 0, 0, 0))
         lams = [StrictPartition.of(*p) for p in ((3, 2, 1), (3, 2), (3, 1), (2, 1), (3, 2, 1))]
-        got = [q.coeff for q in q_tilde_table(lams, c, 6)]
+        got = [q.coeff for q in q_tilde_table(lams, c)]
         assert got == [laplace_q_tilde(lam, c) for lam in lams] == [-2, 0, 0, -2, -2]
 
     @pytest.mark.parametrize("parts,order", [((4, 2), 6), ((6,), 6), ((5, 3, 1), 8)])
     def test_refuses_partition_past_top(self, parts, order):
+        # The table's order is max lambda_1 + lambda_2; a series stopping sooner is refused.
         lams = [StrictPartition.of(3, 2), StrictPartition(parts)]
-        with pytest.raises(ParameterError, match=f"built to order 5, need order {order}$"):
-            q_tilde_table(lams, chern_series_W(5), 5)
+        with pytest.raises(ParameterError, match=f"truncated at 5, need order {order}$"):
+            q_tilde_table(lams, chern_series_W(5))
 
     def test_empty_list_and_empty_partition(self):
         c = chern_series_W(0)
-        assert q_tilde_table([], c, 0) == []
-        assert q_tilde_table([StrictPartition(())], c, 0) == [ThetaClass(1, 0)]
+        assert q_tilde_table([], c) == []
+        assert q_tilde_table([StrictPartition(())], c) == [ThetaClass(1, 0)]
 
     def test_table_needs_the_series_to_its_top(self):
         with pytest.raises(ParameterError, match="truncated at 4, need order 5"):
-            q_tilde_table([], chern_series_W(4), 5)
+            q_tilde_table([StrictPartition.of(3, 2)], chern_series_W(4))
 
 
 class TestEvalIdentity:
