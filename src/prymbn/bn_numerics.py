@@ -76,6 +76,9 @@ class DimReport:
     emptiness: str
     source: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", *_integers("value", self.value))
+
 
 def rho(g: int, r: int, d: int) -> int:
     """Classical Brill-Noether number g - (r+1)(g-d+r), signed."""
@@ -109,12 +112,8 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     else:
         source = "lower bound g-1+k-k(r+1)-r(r+1)/2 on the norm-omega locus"
     if k in (0, 1):
-        emptiness = EMPTY if value < 0 else NONEMPTY
-        exactness = THEOREM_EXACT
-    else:
-        emptiness = UNKNOWN
-        exactness = LOWER_BOUND_ONLY
-    return DimReport(value, exactness, emptiness, source)
+        return DimReport(value, THEOREM_EXACT, EMPTY if value < 0 else NONEMPTY, source)
+    return DimReport(value, LOWER_BOUND_ONLY, UNKNOWN, source)
 
 
 def _check_twisted(g: int, k: int) -> Tuple[int, int]:
@@ -148,9 +147,7 @@ def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimRepor
     """Twisted locus with prescribed vanishing a at a generic point."""
     g, k = _check_twisted(g, k)
     if a[-1] > 2 * g - 2 + k:
-        raise ParameterError(
-            f"top vanishing order {a[-1]} exceeds 2g-2+k = {2 * g - 2 + k}"
-        )
+        raise ParameterError(f"top vanishing order {a[-1]} exceeds 2g-2+k = {2 * g - 2 + k}")
     value = g + k - a.r - 2 - a.weight
     source = "exact dimension g+k-r-2-|a| of the pointed twisted locus"
     return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)

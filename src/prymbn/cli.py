@@ -121,7 +121,7 @@ def _cmd_limits(args) -> _Reply:
     candidates = enumerate_candidates(problem) if args.show_candidates else None
     if candidates is not None:  # [] on an empty locus (s < 0)
         params["show_candidates"] = True
-        result["candidates"] = [a.entries for a in candidates]
+        result["candidates"] = candidates
     if problem.s >= 0:
         result["solution"] = solve_unique(problem, candidates).entries
     return params, result, ["vanishing orders of aspects of Prym limit linear series"]

@@ -35,13 +35,16 @@ class InvariantViolationError(PrymBNError):
 
 
 def _integers(what: str, *values: object) -> Tuple[int, ...]:
-    """values as ints, through __index__: every float, str and Fraction (even
-    Fraction(4, 2)) is refused, not truncated; True and False pass as 1 and 0."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        bad = next(v for v in values if not hasattr(v, "__index__"))
-        raise ParameterError(f"expected an integer for {what}, got {bad!r}") from None
+    """values as ints, through __index__, value by value: every float, str and Fraction
+    (even Fraction(4, 2)) is refused, not truncated, and so is a value whose __index__
+    raises TypeError; True and False pass as 1 and 0."""
+    ints = []
+    for v in values:
+        try:
+            ints.append(operator.index(v))
+        except TypeError:
+            raise ParameterError(f"expected an integer for {what}, got {v!r}") from None
+    return tuple(ints)
 
 
 def _at_least(text: str, lows: Tuple[int, ...], **values: object) -> Tuple[int, ...]:

@@ -106,23 +106,22 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
     return result
 
 
-def enumerate_candidates(p: LimitProblem) -> List[VanishingSequence]:
-    """All sequences meeting the sum, range [0, d] and parity/gap constraints.
+def enumerate_candidates(p: LimitProblem) -> List[Tuple[int, ...]]:
+    """All sequences meeting the sum, range [0, d] and parity/gap constraints,
+    as strictly increasing int tuples (not ``VanishingSequence`` records).
 
     For the two directly-posed problems the sum constraint is the
     adjusted-rho condition rho_pointed = rho - sum(a_i - i) = s on both
     aspects, which ``solve_unique`` re-checks on its survivor.  The walk
-    fixes a_0, a_1, ... left to right on int tuples, visiting only completable
-    prefixes, so the list is lexicographic; each becomes a ``VanishingSequence``
-    at the end.  ``solve_unique`` deliberately filters this full list: perfbench
-    counts candidates by wrapping this call, so pruning waits for in-package counters.
+    fixes a_0, a_1, ... left to right, visiting only completable prefixes, so
+    the list is lexicographic.  ``solve_unique`` deliberately filters this full
+    list: perfbench counts candidates by wrapping this call, so pruning waits
+    for in-package counters.
     """
-    if p.s < 0:
-        return []
     out: List[Tuple[int, ...]] = []
-    parity = p.flavor != RAMIFIED_X_PLUS_Y
-    _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, parity)
-    return [VanishingSequence(entries) for entries in out]
+    if p.s >= 0:
+        _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, p.flavor != RAMIFIED_X_PLUS_Y)
+    return out
 
 
 def _extend(out: List[Tuple[int, ...]], prefix: Tuple[int, ...], lo: int, step: int,
@@ -146,19 +145,20 @@ def _extend(out: List[Tuple[int, ...]], prefix: Tuple[int, ...], lo: int, step: 
             _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
 
 
-def _endpoint_filter_unramified(g: int, r: int, a: VanishingSequence) -> bool:
+def _endpoint_filter_unramified(g: int, r: int, a: Tuple[int, ...]) -> bool:
     """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}."""
-    return all(g + r - 1 - order - i == sum(1 for aj in a.entries if aj >= order + 2)
-               for i, order in enumerate(reversed(a.entries)))
+    return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
+               for i, order in enumerate(reversed(a)))
 
 
 def solve_unique(
-    p: LimitProblem, candidates: Optional[List[VanishingSequence]] = None
+    p: LimitProblem, candidates: Optional[List[Tuple[int, ...]]] = None
 ) -> VanishingSequence:
-    """Filter the candidate list down to the proven unique solution.
+    """Filter the candidate tuples down to the proven unique solution.
 
     ``candidates`` is ``enumerate_candidates(p)`` when the caller already
-    has it; by default it is enumerated here.
+    has it; by default it is enumerated here.  Only the survivor becomes a
+    ``VanishingSequence``.
     """
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
@@ -169,23 +169,24 @@ def solve_unique(
         survivors = [a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)]
     else:
         low, high = p.g - p.r, p.g + p.r
-        survivors = [a for a in candidates if a.entries[0] == low and a.entries[-1] == high]
+        survivors = [a for a in candidates if a[0] == low and a[-1] == high]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"{p.flavor} g={p.g} r={p.r}: expected a unique survivor, "
-            f"got {[list(a.entries) for a in survivors]}"
+            f"got {[list(a) for a in survivors]}"
         )
-    for aspect in (survivors[0], complementary_vanishing(p.degree, survivors[0])):
+    survivor = VanishingSequence(survivors[0])
+    for aspect in (survivor, complementary_vanishing(p.degree, survivor)):
         if rho_pointed(p.component_genus, p.r, p.degree, aspect) != p.s:
             raise InvariantViolationError(
                 f"{p.flavor} g={p.g} r={p.r}: adjusted rho of {aspect.entries} is not s = {p.s}"
             )
-    if survivors[0] != closed:
+    if survivor != closed:
         raise InvariantViolationError(
-            f"{p.flavor} g={p.g} r={p.r}: survivor {survivors[0].entries} "
+            f"{p.flavor} g={p.g} r={p.r}: survivor {survivor.entries} "
             f"differs from closed form {closed.entries}"
         )
-    return survivors[0]
+    return survivor
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,11 @@ class AdditivityReport:
     aspect_rhos: Tuple[int, int]
     bridge_rho: int
     equality: bool
+
+    def __post_init__(self) -> None:
+        for name in ("lhs", "bridge_rho"):
+            object.__setattr__(self, name, *_integers(name, getattr(self, name)))
+        object.__setattr__(self, "aspect_rhos", _integers("aspect_rhos", *self.aspect_rhos))
 
 
 def additivity_report(

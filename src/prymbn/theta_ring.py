@@ -53,6 +53,10 @@ class PrymSpace:
     dim: int
     theta_top: Optional[int]
 
+    def __post_init__(self) -> None:
+        for name in ("g", "k", "dim") + (() if self.theta_top is None else ("theta_top",)):
+            object.__setattr__(self, name, *_integers(name, getattr(self, name)))
+
     @property
     def generator(self) -> str:
         """The ring generator: xi on P+/P-, theta' on the twisted torsor."""

@@ -110,7 +110,8 @@ def test_criterion_6_limit_solver_unique_to_g12_r4():
         f"limit solver unique over {res.cases} cases with g <= 12, r <= 4 "
         f"in {elapsed:.2f}s; g=5 r=1 candidates pruned to (3,5)",
         res.passed
-        and [a.entries for a in g5] == [(0, 8), (1, 7), (2, 6), (3, 5)]
+        and g5 == [(0, 8), (1, 7), (2, 6), (3, 5)]
+        and all(type(a) is tuple for a in g5)
         and survivor.entries == (3, 5)
         and elapsed < 5.0,
     )

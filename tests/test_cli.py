@@ -220,6 +220,31 @@ class TestLimits:
         run_json("limits", "--flavor", "unramified", "--g", "5", "--r", "1", "--show-candidates")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv,candidates", [
+        (("--flavor", "ramified", "--g", "12", "--r", "4", "--show-candidates"), 649),
+        (("--flavor", "unramified", "--g", "24", "--r", "5"), 6225),
+    ])
+    def test_only_the_survivor_becomes_a_record(self, monkeypatch, argv, candidates):
+        # Candidates stay int tuples: the closed form, the survivor and its complement
+        # are the request's only VanishingSequence records, however many candidates.
+        records, walked, post_init = [], [], bn_numerics.VanishingSequence.__post_init__
+        enumerate_candidates = limit_series.enumerate_candidates
+
+        def counted_post_init(self):
+            records.append(self.entries)
+            post_init(self)
+
+        def counted_walk(p):
+            walked.append(len(result := enumerate_candidates(p)))
+            return result
+
+        monkeypatch.setattr(bn_numerics.VanishingSequence, "__post_init__", counted_post_init)
+        monkeypatch.setattr(limit_series, "enumerate_candidates", counted_walk)
+        monkeypatch.setattr(cli, "enumerate_candidates", counted_walk)
+        run_json("limits", *argv)
+        assert walked == [candidates]
+        assert len(records) == 3, len(records)
+
     def test_candidates_past_ten_million_subsets(self):
         # C(47, 6) = 1.1e7 subsets; only the 6,225 candidates are generated.
         rec = run_json(

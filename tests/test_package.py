@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import prymbn
+from prymbn import errors
 from prymbn.errors import ParameterError
 
 ROOT = Path(__file__).parent.parent
@@ -102,9 +103,10 @@ _VALID_CALLS = {
     "prym_limit_vanishing_ramified": dict(g=5, r=1),
     "prym_limit_vanishing_dual": dict(g=6, r=1),
     "w_locus_expected_dim": dict(g_y=4, d=8, a=_A),
+    "DimReport": dict(value=1, exactness="theorem_exact", emptiness="nonempty", source="s"),
+    "PrymSpace": dict(flavor="ramified_twisted", g=2, k=1, dim=2, theta_top=8),
+    "AdditivityReport": dict(lhs=-1, aspect_rhos=(3, 3), bridge_rho=-1, equality=False),
 }
-# Result records: the library fills them from ints it has already read.
-_RECORDS = {"AdditivityReport", "DimReport", "PrymSpace"}
 
 
 def _int_parameters(obj):
@@ -114,7 +116,7 @@ def _int_parameters(obj):
 def test_every_public_int_parameter_is_in_the_gate_table():
     takes_int = {n for n in prymbn.__all__
                  if callable(getattr(prymbn, n)) and _int_parameters(getattr(prymbn, n))}
-    assert takes_int == set(_VALID_CALLS) | _RECORDS
+    assert takes_int == set(_VALID_CALLS)
 
 
 @pytest.mark.parametrize("bad", [2.0, "2", Fraction(4, 2)], ids=["float", "str", "fraction"])
@@ -127,6 +129,37 @@ def test_every_public_int_parameter_refuses_non_integers(name, bad):
             fn(**{**valid, param: bad})
         message = str(info.value)
         assert re.search(rf"\b{param}\b", message) and repr(bad) in message, (param, message)
+
+
+def test_records_read_their_other_integer_fields():
+    # theta_top (Optional[int]) and aspect_rhos (a pair) are not plain int parameters.
+    with pytest.raises(ParameterError, match=r"theta_top, got 8\.0"):
+        prymbn.degree(prymbn.ThetaClass(1, 2),
+                      prymbn.PrymSpace("ramified_twisted", 2, 1, 2, 8.0))
+    with pytest.raises(ParameterError, match=r"aspect_rhos, got 3\.0"):
+        prymbn.AdditivityReport(-1, (3, 3.0), -1, False)
+    space = prymbn.PrymSpace("unramified_pm", 2, 0, True, None)
+    assert (space.dim, type(space.dim), space.theta_top) == (1, int, None)
+
+
+class _IndexRaises:
+    """Has __index__, but it refuses."""
+
+    def __index__(self):
+        raise TypeError("not an index")
+
+    def __repr__(self):
+        return "_IndexRaises()"
+
+
+def test_integer_gate_refuses_a_value_whose_index_raises():
+    message = "expected an integer for {}, got _IndexRaises()"
+    with pytest.raises(ParameterError, match=re.escape(message.format("x"))):
+        errors._integers("x", 1, _IndexRaises())
+    with pytest.raises(ParameterError, match=re.escape(message.format("g"))):
+        errors._at_least("need g >= 1", (1, 0), g=_IndexRaises(), r=1)
+    with pytest.raises(ParameterError, match=re.escape(message.format("vanishing orders"))):
+        prymbn.VanishingSequence((0, _IndexRaises()))
 
 
 def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
