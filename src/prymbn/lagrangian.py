@@ -4,7 +4,8 @@ The two-row classes Q_(a,b) are integer sums over one common denominator:
 with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
-matrix of two-row classes, computed exactly by skew elimination over Fraction.
+matrix of those integers, by skew elimination whose last four rows need no
+division, then divided once by D^(2 pairs): exact, and division-free to length 4.
 ``q_tilde_table`` evaluates many partitions over one Chern series: it computes
 the numerators once and each Q_(a,b) once, and ``q_tilde`` is its
 one-partition use.
@@ -78,14 +79,14 @@ def _q2_coeff(a: int, b: int, n: List[int]) -> int:
 
 
 class _TwoRowTable(dict):
-    """(a, b) -> Q_(a,b) as a Fraction, each computed on first use over one (n, D^2)."""
+    """(a, b) -> the int Q_(a,b) D^2, each computed on first use over one (n, D^2)."""
 
     def __init__(self, c: ChernSeries, top: int) -> None:
         super().__init__()
         self.n, self.d2 = _numerators(c, top)
 
-    def __missing__(self, key: Tuple[int, int]) -> Fraction:
-        q = self[key] = Fraction(_q2_coeff(*key, self.n), self.d2)
+    def __missing__(self, key: Tuple[int, int]) -> int:
+        q = self[key] = _q2_coeff(*key, self.n)
         return q
 
 
@@ -98,25 +99,27 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     a, b = _integers("a and b", a, b)
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
-    return ThetaClass(_TwoRowTable(c, a + b)[a, b], a + b, THETA_PRIME)
+    table = _TwoRowTable(c, a + b)
+    return ThetaClass(Fraction(table[a, b], table.d2), a + b, THETA_PRIME)
 
 
-def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
+def _pfaffian(m: List[List[Optional[int | Fraction]]]) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
-    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer,
-    ACM TOMS Alg. 923); the 0x0 matrix gives 1.  For k = 0, 2, ... the first
-    nonzero entry of row k is swapped into column k+1 (a sign flip; a zero row
-    gives 0), the pivot m[k][k+1] joins the product, and pair k, k+1 is
-    cleared from the rows and columns k+2 on.
+    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM
+    TOMS Alg. 923).  For k = 0, 2, ..., n - 6 the first nonzero entry of row k is
+    swapped into column k+1 (a sign flip; a zero row gives 0), the pivot m[k][k+1]
+    joins the product, and Fraction multipliers clear pair k, k+1 from the rows and
+    columns k+2 on.  The last four rows close division-free as m01 m23 - m02 m13 +
+    m03 m12 (two as m01, none as 1): int entries of order <= 4 give an int.
     """
     n = len(m)
-    result, sign = Fraction(1), 1
-    for k in range(0, n, 2):
+    result, sign = 1, 1
+    for k in range(0, n - 4, 2):
         row, a = m[k], k + 1
         b = next((j for j in range(a, n) if row[j]), None)
         if b is None:
-            return Fraction(0)
+            return 0
         if b != a:
             row[a], row[b] = row[b], row[a]
             for t in range(a + 1, b):
@@ -127,20 +130,26 @@ def _pfaffian(m: List[List[Optional[Fraction]]]) -> Fraction:
             sign = -sign
         pivot, pivot_row = row[a], m[a]
         result *= pivot
-        mult = [None] * (k + 2) + [row[i] / pivot for i in range(k + 2, n)]
+        inverse = Fraction(1, pivot)
+        mult = [None] * (k + 2) + [row[i] * inverse for i in range(k + 2, n)]
         for i in range(k + 2, n):
             mi, ci, pi = m[i], mult[i], pivot_row[i]
             for j in range(i + 1, n):
                 mi[j] += mult[j] * pi - ci * pivot_row[j]
-    return result if sign == 1 else -result
+    if n >= 4:
+        k, (w, x, y) = n - 4, m[n - 4 : n - 1]
+        result *= w[k + 1] * y[k + 3] - w[k + 2] * x[k + 3] + w[k + 3] * x[k + 2]
+    elif n:
+        result *= m[0][1]
+    return result * sign
 
 
 def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> List[ThetaClass]:
     """Q-tilde of each partition in lams, over one table of two-row classes.
 
     The table reaches order max lambda_1 + lambda_2 over lams (_numerators refuses a
-    shorter Chern series); its numerators and each Q_(a,b) are computed once, on first
-    use.  Every partition gets a fresh matrix: the Pfaffian rewrites it in place.
+    shorter Chern series); each int Q_(a,b) D^2 is computed once, on first use.  Each
+    partition gets a fresh matrix (the Pfaffian rewrites it) and one division by D^(2 pairs).
     """
     lams = list(lams)
     table = _TwoRowTable(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
@@ -149,7 +158,8 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> List[Theta
         parts = lam.parts + (0,) * (lam.length % 2)
         m = [[None] * (i + 1) + [table[a, b] for b in parts[i + 1 :]]
              for i, a in enumerate(parts)]
-        classes.append(ThetaClass(_pfaffian(m), lam.weight, THETA_PRIME))
+        pf = Fraction(_pfaffian(m), table.d2 ** (len(parts) // 2))
+        classes.append(ThetaClass(pf, lam.weight, THETA_PRIME))
     return classes
 
 

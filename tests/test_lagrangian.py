@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prymbn import verify
@@ -18,6 +18,7 @@ from prymbn.formulas import (
 )
 from prymbn.lagrangian import (
     StrictPartition,
+    _pfaffian,
     eval_identity,
     lagrangian_class_pointed,
     lagrangian_class_twisted,
@@ -212,6 +213,51 @@ class TestLaplaceOracle:
         lam, c = StrictPartition.of(4, 2, 1), ChernSeries((1, 1, 0, 0, 0, 0, 0, 0))
         assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
+
+
+def skew_upper(n, upper):
+    """The order-n upper triangle m[i][j], j > i, filled row by row from upper."""
+    entries = iter(upper)
+    return [[None] * (i + 1) + [next(entries) for _ in range(i + 1, n)] for i in range(n)]
+
+
+# An even order n <= 10 and its n(n-1)/2 integer entries above the diagonal.
+skew_matrices = st.integers(0, 5).flatmap(
+    lambda h: st.tuples(
+        st.just(2 * h),
+        st.lists(
+            st.just(0) | st.sampled_from((1, -1, 2)) | st.integers(-4, 4),
+            min_size=h * (2 * h - 1),
+            max_size=h * (2 * h - 1),
+        ),
+    )
+)
+
+
+class TestPfaffian:
+    # Integer entries drawn mostly from {0, +-1, 2} put zero pivots, row swaps and
+    # zero rows both in the dividing steps (orders 6 to 10) and in the last four
+    # rows, which close without a division.  A float multiplier whose value happens
+    # to be exact would still compare equal, so the result's type is checked too.
+
+    @given(skew_matrices)
+    # order 6, row 0 zero: the dividing step returns 0
+    @example((6, [0, 0, 0, 0, 0, 1, 2, -1, 1, 1, 0, 2, -1, 1, 1]))
+    # order 6, m01 = m02 = 0: the dividing step swaps column 3 into column 1
+    @example((6, [0, 0, 1, 0, 2, 1, -1, 0, 2, 1, 0, 1, 2, -1, 1]))
+    # order 4, m01 = 0: the closing rows need no pivot
+    @example((4, [0, 1, 2, 1, 1, 1]))
+    # order 6, row 2 zero after elimination: the closing rows give 0
+    @example((6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1]))
+    def test_integer_matrix_matches_laplace_expansion(self, matrix):
+        n, upper = matrix
+        m = skew_upper(n, upper)
+        want = laplace_pfaffian(tuple(range(n)), lambda i, j: m[i][j])
+        got = _pfaffian(m)
+        assert type(got) in (int, Fraction)
+        assert got == want
+        if n <= 4:
+            assert type(got) is int
 
 
 class TestRationalChernData:
