@@ -11,10 +11,9 @@ a lower bound.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .errors import ParameterError, _at_least, _integers
+from .errors import ParameterError, _at_least, _integers, _Record
 
 THEOREM_EXACT = "theorem_exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -24,21 +23,20 @@ NONEMPTY = "nonempty"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class VanishingSequence:
+class VanishingSequence(_Record):
     """Strictly increasing non-negative vanishing orders a_0 < ... < a_r."""
 
-    entries: Tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = _integers("vanishing orders", *self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Tuple[int, ...]) -> None:
+        entries = _integers("vanishing orders", *entries)
         if not entries:
             raise ParameterError("vanishing sequence must be non-empty, got entries=()")
         if entries[0] < 0:
             raise ParameterError(f"vanishing orders must be non-negative, got {entries=}")
         if not all(map(operator.lt, entries, entries[1:])):
             raise ParameterError(f"vanishing orders must strictly increase: {entries}")
+        self._store(entries)
 
     @classmethod
     def of(cls, *entries: int) -> "VanishingSequence":
@@ -62,8 +60,7 @@ class VanishingSequence:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(_Record):
     """Expected-dimension verdict for one locus.
 
     ``value`` may be negative.  ``exactness`` records whether the cited
@@ -71,13 +68,10 @@ class DimReport:
     is only ever ``empty``/``nonempty`` when the cited result proves it.
     """
 
-    value: int
-    exactness: str
-    emptiness: str
-    source: str
+    __slots__ = ("value", "exactness", "emptiness", "source")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", *_integers("value", self.value))
+    def __init__(self, value: int, exactness: str, emptiness: str, source: str) -> None:
+        self._store(*_integers("value", value), exactness, emptiness, source)
 
 
 def rho(g: int, r: int, d: int) -> int:

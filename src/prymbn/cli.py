@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -131,7 +130,7 @@ def _cmd_verify(args) -> _Reply:
     params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
     _at_least("verification bounds must be non-negative", (0, 0, 0), **params)
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
-    suites = [{k: v for k, v in asdict(res).items() if v is not None} for res in results]
+    suites = [{k: v for k, v in res._fields().items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
     return params, {"suites": suites, "all_passed": all_passed}, ["cross-module identity suites"]
 
@@ -248,26 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Exact values may exceed the int-to-str limit (absent before Python 3.10.7): lift it here.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         params, result, citations = args.func(args)
+        text = _render({"command": args.subcommand, "params": params, "result": result,
+                        "citations": citations}, args.format)
     except InvariantViolationError as exc:
         print(f"pbn: invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
     except PrymBNError as exc:
         print(f"pbn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    record = {"command": args.subcommand, "params": params, "result": result,
-              "citations": citations}
-    # Exact coefficients from about rank 68 on have more digits than the
-    # default int-to-str limit (absent before Python 3.10.7): lift it while
-    # rendering only.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        text = _render(record, args.format)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -1,9 +1,9 @@
-"""Exception hierarchy shared by all prymbn modules, and the one integer gate: _at_least
-reads each integer parameter through _integers under its own name, and refuses one below
-its bound as "<text>, got name=value, ...", naming every value of the call."""
+"""What every prymbn module shares: the exception hierarchy; the one integer gate, _at_least,
+which reads each integer parameter through _integers under its own name and refuses one
+below its bound as "<text>, got name=value, ..."; and _Record, the base of the value types."""
 
 import operator
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 
 class PrymBNError(Exception):
@@ -56,3 +56,40 @@ def _at_least(text: str, lows: Tuple[int, ...], **values: object) -> Tuple[int, 
     if any(map(operator.lt, ints, lows)):
         raise ParameterError(f"{text}, got " + ", ".join(map("{}={}".format, values, ints)))
     return ints
+
+
+class _Record:
+    """An immutable value in __slots__: a subclass's __init__ gates its arguments and stores
+    them once, in slot order, with _store.  Equal only in its class; copy and pickle re-gate."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls.__slots__)  # all that == and hash read
+        cls._setters = [vars(cls)[name].__set__ for name in cls.__slots__]  # past __setattr__
+
+    def _store(self, *values: Any) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        key = self._key
+        return key(self) == key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return type(self), tuple(self._fields().values())

@@ -12,7 +12,6 @@ products at every staircase rank and on the sequences that the goldens,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
@@ -20,22 +19,21 @@ from typing import Tuple
 
 from . import theta_ring
 from .bn_numerics import VanishingSequence
-from .errors import IntegralityError, ParameterError, _at_least
+from .errors import IntegralityError, ParameterError, _at_least, _Record
 from .theta_ring import THETA_PRIME, XI, PrymSpace, ThetaClass, _rational
 
 
-@dataclass(frozen=True)
-class ChernSeries:
+class ChernSeries(_Record):
     """Truncated Chern data: coeffs[i] is the rational q_i in c_i = q_i * theta^i."""
 
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(_rational, self.coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: Tuple[Fraction, ...]) -> None:
+        coeffs = tuple(map(_rational, coeffs))
         if not coeffs or coeffs[0] != 1:
             got = f"q_0={coeffs[0]}" if coeffs else "coeffs=()"
             raise ParameterError(f"a Chern series must start with q_0 = 1, got {got}")
+        self._store(coeffs)
 
     @property
     def truncation(self) -> int:

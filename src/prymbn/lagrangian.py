@@ -17,29 +17,27 @@ serves as a second, Pfaffian-free oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
-from .errors import ParameterError, _at_least, _integers
+from .errors import ParameterError, _at_least, _integers, _Record
 from .formulas import ChernSeries, chern_series_W
 from .theta_ring import THETA_PRIME, ThetaClass, substitute_theta_prime_as_2xi
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(_Record):
     """Strictly decreasing positive parts lambda_1 > ... > lambda_l > 0."""
 
-    parts: Tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = _integers("parts", *self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Tuple[int, ...]) -> None:
+        parts = _integers("parts", *parts)
         if any(p < 1 for p in parts):
             raise ParameterError(f"parts must be positive: {parts}")
         if any(x <= y for x, y in zip(parts, parts[1:])):
             raise ParameterError(f"parts must strictly decrease: {parts}")
+        self._store(parts)
 
     @classmethod
     def of(cls, *parts: int) -> "StrictPartition":

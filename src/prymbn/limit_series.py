@@ -20,11 +20,10 @@ filter of each degeneration argument and insists on a unique survivor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
-from .errors import InvariantViolationError, ParameterError, _at_least, _integers
+from .errors import InvariantViolationError, ParameterError, _at_least, _integers, _Record
 
 UNRAMIFIED_DELTA1 = "unramified_delta1"
 RAMIFIED_X_PLUS_Y = "ramified_x_plus_y"
@@ -32,18 +31,13 @@ RAMIFIED_DUAL = "ramified_dual"
 FLAVORS = (UNRAMIFIED_DELTA1, RAMIFIED_X_PLUS_Y, RAMIFIED_DUAL)
 
 
-@dataclass(frozen=True)
-class LimitProblem:
-    flavor: str
-    g: int
-    r: int
+class LimitProblem(_Record):
+    __slots__ = ("flavor", "g", "r")
 
-    def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ParameterError(f"unknown flavor {self.flavor!r}")
-        g, r = _at_least("need g >= 1 and r >= 0", (1, 0), g=self.g, r=self.r)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "r", r)
+    def __init__(self, flavor: str, g: int, r: int) -> None:
+        if flavor not in FLAVORS:
+            raise ParameterError(f"unknown flavor {flavor!r}")
+        self._store(flavor, *_at_least("need g >= 1 and r >= 0", (1, 0), g=g, r=r))
 
     @property
     def degree(self) -> int:
@@ -189,19 +183,15 @@ def solve_unique(
     return survivor
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(_Record):
     """rho-additivity chain for one elliptic-bridge configuration."""
 
-    lhs: int
-    aspect_rhos: Tuple[int, int]
-    bridge_rho: int
-    equality: bool
+    __slots__ = ("lhs", "aspect_rhos", "bridge_rho", "equality")
 
-    def __post_init__(self) -> None:
-        for name in ("lhs", "bridge_rho"):
-            object.__setattr__(self, name, *_integers(name, getattr(self, name)))
-        object.__setattr__(self, "aspect_rhos", _integers("aspect_rhos", *self.aspect_rhos))
+    def __init__(self, lhs: int, aspect_rhos: Tuple[int, int], bridge_rho: int,
+                 equality: bool) -> None:
+        lhs, bridge_rho = _at_least("", (), lhs=lhs, bridge_rho=bridge_rho)  # read only
+        self._store(lhs, _integers("aspect_rhos", *aspect_rhos), bridge_rho, equality)
 
 
 def additivity_report(

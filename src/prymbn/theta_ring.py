@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .errors import (
     UnsupportedSpaceError,
     _at_least,
     _integers,
+    _Record,
 )
 
 UNRAMIFIED_PM = "unramified_pm"
@@ -39,23 +39,18 @@ XI = "xi"
 GENERATORS = (THETA_PRIME, XI)
 
 
-@dataclass(frozen=True)
-class PrymSpace:
+class PrymSpace(_Record):
     """A labeled Prym torsor with its dimension and top theta degree.
 
     ``theta_top`` is ``None`` exactly when the top self-intersection is not
     available (the unramified twisted torsor).
     """
 
-    flavor: str
-    g: int
-    k: int
-    dim: int
-    theta_top: Optional[int]
+    __slots__ = ("flavor", "g", "k", "dim", "theta_top")
 
-    def __post_init__(self) -> None:
-        for name in ("g", "k", "dim") + (() if self.theta_top is None else ("theta_top",)):
-            object.__setattr__(self, name, *_integers(name, getattr(self, name)))
+    def __init__(self, flavor: str, g: int, k: int, dim: int, theta_top: Optional[int]) -> None:
+        (theta_top,) = (None,) if theta_top is None else _integers("theta_top", theta_top)
+        self._store(flavor, *_at_least("", (), g=g, k=k, dim=dim), theta_top)  # read only
 
     @property
     def generator(self) -> str:
@@ -73,27 +68,22 @@ def _rational(q: object) -> Fraction:
     return Fraction(q)
 
 
-@dataclass(frozen=True)
-class ThetaClass:
+class ThetaClass(_Record):
     """An exact rational multiple of a power of the ring generator.
 
-    The zero class is normalized to exponent 0 so that equality of values
-    coincides with dataclass equality.
+    The zero class is normalized to exponent 0, so equal classes are equal records.
     """
 
-    coeff: Fraction
-    exponent: int
-    generator: str = THETA_PRIME
+    __slots__ = ("coeff", "exponent", "generator")
 
-    def __post_init__(self) -> None:
-        coeff = _rational(self.coeff)
-        (exponent,) = _integers("the exponent", self.exponent)
-        if self.generator not in GENERATORS:
-            raise ParameterError(f"unknown generator {self.generator!r}")
+    def __init__(self, coeff: Fraction, exponent: int, generator: str = THETA_PRIME) -> None:
+        coeff = _rational(coeff)
+        (exponent,) = _integers("the exponent", exponent)
+        if generator not in GENERATORS:
+            raise ParameterError(f"unknown generator {generator!r}")
         if exponent < 0:
             raise ParameterError(f"exponent must be non-negative, got {exponent=}")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "exponent", exponent if coeff else 0)
+        self._store(coeff, exponent if coeff else 0, generator)
 
     def __str__(self) -> str:
         return f"{self.coeff} * {self.generator}^{self.exponent}"

@@ -18,13 +18,12 @@ suites check the result against the product formula ``eval_identity``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
 from .bn_numerics import VanishingSequence, expected_dim_V
-from .errors import PrymBNError
+from .errors import PrymBNError, _Record
 from .lagrangian import StrictPartition
 from .limit_series import LimitProblem, solve_unique, w_locus_expected_dim
 
@@ -79,13 +78,12 @@ LIMIT_FLAVORS = {  # CLI flavor -> (limit_series flavor, closed-form solution at
 _CALIBRATED = [key for key, (_, top) in theta_ring._SPACES.items() if top is not None]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    cases: int
-    passed: bool
-    counterexample: Optional[str] = None
-    vacuous: Optional[bool] = None  # True when no case was checked, else None
+class SuiteResult(_Record):
+    __slots__ = ("name", "cases", "passed", "counterexample", "vacuous")
+
+    def __init__(self, name: str, cases: int, passed: bool, counterexample: Optional[str] = None,
+                 vacuous: Optional[bool] = None) -> None:  # True when no case was checked
+        self._store(name, cases, passed, counterexample, vacuous)
 
 
 def strict_partitions(max_weight: int) -> Iterator[StrictPartition]:

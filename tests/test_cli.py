@@ -198,6 +198,21 @@ class TestCount:
         assert (code, out) == (2, "")
         assert named in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no int-to-str digit limit on this Python",
+    )
+    def test_refusal_past_digit_limit(self):
+        # The refusal names a 6,000-digit expected dimension, past the default
+        # int-to-str limit; main must still exit 2 and leave the limit as it was.
+        r = 10**3000 - 1
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("count", "--g", "3", "--k", "1", "--r", "9" * 3000)
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, out) == (2, "")
+        with unlimited_int_digits():
+            assert f"expected dimension is {3 - (r + 1) * (r + 2) // 2}, not 0" in err
+
 
 class TestLimits:
     def test_with_candidates(self):
@@ -227,18 +242,18 @@ class TestLimits:
     def test_only_the_survivor_becomes_a_record(self, monkeypatch, argv, candidates):
         # Candidates stay int tuples: the closed form, the survivor and its complement
         # are the request's only VanishingSequence records, however many candidates.
-        records, walked, post_init = [], [], bn_numerics.VanishingSequence.__post_init__
+        records, walked, init = [], [], bn_numerics.VanishingSequence.__init__
         enumerate_candidates = limit_series.enumerate_candidates
 
-        def counted_post_init(self):
-            records.append(self.entries)
-            post_init(self)
+        def counted_init(self, entries):
+            records.append(entries)
+            init(self, entries)
 
         def counted_walk(p):
             walked.append(len(result := enumerate_candidates(p)))
             return result
 
-        monkeypatch.setattr(bn_numerics.VanishingSequence, "__post_init__", counted_post_init)
+        monkeypatch.setattr(bn_numerics.VanishingSequence, "__init__", counted_init)
         monkeypatch.setattr(limit_series, "enumerate_candidates", counted_walk)
         monkeypatch.setattr(cli, "enumerate_candidates", counted_walk)
         run_json("limits", *argv)

@@ -1,5 +1,8 @@
 import ast
+import copy
 import inspect
+import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import pytest
 import prymbn
 from prymbn import errors
 from prymbn.errors import ParameterError
+from prymbn.verify import SuiteResult
 
 ROOT = Path(__file__).parent.parent
 
@@ -179,3 +183,52 @@ def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "Falsifying example: test_fails(" in done.stdout
     assert re.search(r"\b1 failed in ", done.stdout), done.stdout[-2000:]
+
+
+# One record of each value type, with its fields in order, each as the record stores it.
+_RECORDS = [
+    (prymbn.VanishingSequence, ((1, 2),)),
+    (prymbn.StrictPartition, ((2, 1),)),
+    (prymbn.ChernSeries, ((Fraction(1), Fraction(1, 2)),)),
+    (prymbn.ThetaClass, (Fraction(1, 3), 5, "theta'")),
+    (prymbn.PrymSpace, ("ramified_twisted", 2, 1, 2, 8)),
+    (prymbn.DimReport, (1, "theorem_exact", "nonempty", "s")),
+    (prymbn.LimitProblem, ("unramified_delta1", 5, 1)),
+    (prymbn.AdditivityReport, (-1, (3, 3), -1, False)),
+    (SuiteResult, ("engine_oracle", 3, True, None, None)),
+]
+
+
+@pytest.mark.parametrize("cls,fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_immutable_values_of_their_own_class(cls, fields):
+    rec, names = cls(*fields), list(inspect.signature(cls).parameters)
+    assert rec == cls(*fields) and hash(rec) == hash(cls(*fields))
+    # Equal only to a record of the same class: never to its fields, never across classes.
+    assert rec != fields and fields != rec
+    for other_cls, other_fields in _RECORDS:
+        if other_cls is not cls:
+            assert rec != other_cls(*other_fields) and other_cls(*other_fields) != rec
+    assert prymbn.VanishingSequence((3,)) != prymbn.StrictPartition((3,))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and twin == rec
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, fields)) + ")"
+    if cls is prymbn.ThetaClass:
+        assert repr(rec) == "ThetaClass(coeff=Fraction(1, 3), exponent=5, generator=\"theta'\")"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A cold pbn process pays for every module it imports; these four serve no request.
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, prymbn.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
