@@ -11,7 +11,7 @@ a lower bound.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Tuple
+from collections.abc import Iterator
 
 from .errors import ParameterError, _at_least, _integers, _Record
 
@@ -28,7 +28,7 @@ class VanishingSequence(_Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Tuple[int, ...]) -> None:
+    def __init__(self, entries: tuple[int, ...]) -> None:
         entries = _integers("vanishing orders", *entries)
         if not entries:
             raise ParameterError("vanishing sequence must be non-empty, got entries=()")
@@ -50,7 +50,7 @@ class VanishingSequence(_Record):
     def weight(self) -> int:
         return sum(self.entries)
 
-    def __iter__(self) -> Iterable[int]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
     def __len__(self) -> int:
@@ -110,7 +110,7 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     return DimReport(value, LOWER_BOUND_ONLY, UNKNOWN, source)
 
 
-def _check_twisted(g: int, k: int) -> Tuple[int, int]:
+def _check_twisted(g: int, k: int) -> tuple[int, int]:
     """Hypotheses shared by the twisted loci: g >= 1 and k in {0, 1, 2}; g, k as ints."""
     g, k = _at_least("twisted loci need g >= 1", (1,), g=g, k=k)
     if k not in (0, 1, 2):

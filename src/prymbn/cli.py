@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import formulas, theta_ring, verify
 from .bn_numerics import VanishingSequence
@@ -31,12 +31,12 @@ USAGE_ERROR = 2
 INVARIANT_ERROR = 1
 
 
-def _rat(f: Fraction) -> Any:
+def _rat(f: Fraction) -> object:
     """Canonical rational: an integer, or a Fraction rendered as "p/q"."""
     return int(f) if f.denominator == 1 else f
 
 
-def _theta_json(c: ThetaClass) -> Dict[str, Any]:
+def _theta_json(c: ThetaClass) -> dict[str, object]:
     return {"coeff": _rat(c.coeff), "exponent": c.exponent, "generator": c.generator}
 
 
@@ -47,7 +47,7 @@ def _parse_sequence(text: str) -> VanishingSequence:
         raise ParameterError(f"invalid vanishing sequence {text!r}: {exc}") from exc
 
 
-def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]:
+def _locus_args(args, flags: Sequence[str], params: dict[str, object]) -> list[object]:
     """The values of the locus flags ``flags``, in order, also put in ``params``.
 
     A flag of ``flags`` that is missing, or one of --r/--d/--a that is given
@@ -71,12 +71,12 @@ def _locus_args(args, flags: Sequence[str], params: Dict[str, Any]) -> List[Any]
 
 
 # What a command returns: (params, result, citations); main makes the record.
-_Reply = Tuple[Dict[str, Any], Dict[str, Any], List[str]]
+_Reply = tuple[dict[str, object], dict[str, object], list[str]]
 
 
 def _cmd_dim(args) -> _Reply:
     locus = verify.LOCI[args.locus]
-    params: Dict[str, Any] = {"locus": args.locus, "g": args.g, "k": args.k}
+    params: dict[str, object] = {"locus": args.locus, "g": args.g, "k": args.k}
     rep = locus.dim(args.g, args.k, *_locus_args(args, locus.flags, params))
     result = {"value": rep.value, "exactness": rep.exactness, "emptiness": rep.emptiness}
     return params, result, [rep.source]
@@ -84,10 +84,10 @@ def _cmd_dim(args) -> _Reply:
 
 def _cmd_class(args) -> _Reply:
     locus = verify.LOCI[args.locus]
-    params: Dict[str, Any] = {"locus": args.locus}
+    params: dict[str, object] = {"locus": args.locus}
     values = _locus_args(args, locus.flags, params)
     cls = locus.closed_form(*values)
-    result: Dict[str, Any] = {"class": _theta_json(cls)}
+    result: dict[str, object] = {"class": _theta_json(cls)}
     citations = [locus.citation]
     if args.engine:
         params["engine"] = True
@@ -114,9 +114,9 @@ def _cmd_count(args) -> _Reply:
 
 
 def _cmd_limits(args) -> _Reply:
-    params: Dict[str, Any] = {"flavor": args.flavor, "g": args.g, "r": args.r}
+    params: dict[str, object] = {"flavor": args.flavor, "g": args.g, "r": args.r}
     problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor][0], args.g, args.r)
-    result: Dict[str, Any] = {"empty": problem.s < 0, "s": problem.s}
+    result: dict[str, object] = {"empty": problem.s < 0, "s": problem.s}
     candidates = enumerate_candidates(problem) if args.show_candidates else None
     if candidates is not None:  # [] on an empty locus (s < 0)
         params["show_candidates"] = True
@@ -135,10 +135,10 @@ def _cmd_verify(args) -> _Reply:
     return params, {"suites": suites, "all_passed": all_passed}, ["cross-module identity suites"]
 
 
-def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
-    flat: Dict[str, str] = {}
+def _flatten_record(record: dict[str, object]) -> dict[str, str]:
+    flat: dict[str, str] = {}
 
-    def walk(value: Any, key: str) -> None:
+    def walk(value: object, key: str) -> None:
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(value[k], f"{key}.{k}" if key else k)
@@ -151,7 +151,7 @@ def _flatten_record(record: Dict[str, Any]) -> Dict[str, str]:
     return flat
 
 
-def _json(value: Any, pad: str = "\n") -> str:
+def _json(value: object, pad: str = "\n") -> str:
     """The bytes of ``json.dumps(value, sort_keys=True, indent=2, default=str)``; ``pad`` is
     the newline and indent ``value`` sits at.  A tuple holds vanishing orders: one join."""
     if isinstance(value, str):
@@ -173,7 +173,7 @@ def _json(value: Any, pad: str = "\n") -> str:
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
-def _render(record: Dict[str, Any], fmt: str) -> str:
+def _render(record: dict[str, object], fmt: str) -> str:
     if fmt == "json":
         return _json(record) + "\n"
     flat = _flatten_record(record)
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact values may exceed the int-to-str limit (absent before Python 3.10.7): lift it here.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

@@ -2,8 +2,9 @@
 which reads each integer parameter through _integers under its own name and refuses one
 below its bound as "<text>, got name=value, ..."; and _Record, the base of the value types."""
 
+from __future__ import annotations
+
 import operator
-from typing import Any, Dict, Tuple
 
 
 class PrymBNError(Exception):
@@ -34,7 +35,7 @@ class InvariantViolationError(PrymBNError):
     """An internal cross-check failed; signals a wrong constraint encoding."""
 
 
-def _integers(what: str, *values: object) -> Tuple[int, ...]:
+def _integers(what: str, *values: object) -> tuple[int, ...]:
     """values as ints, through __index__, value by value: every float, str and Fraction
     (even Fraction(4, 2)) is refused, not truncated, and so is a value whose __index__
     raises TypeError; True and False pass as 1 and 0."""
@@ -47,7 +48,7 @@ def _integers(what: str, *values: object) -> Tuple[int, ...]:
     return tuple(ints)
 
 
-def _at_least(text: str, lows: Tuple[int, ...], **values: object) -> Tuple[int, ...]:
+def _at_least(text: str, lows: tuple[int, ...], **values: object) -> tuple[int, ...]:
     """The values as ints, each at least its bound in lows; those past the end are only read."""
     try:
         ints = tuple(map(operator.index, values.values()))
@@ -68,16 +69,16 @@ class _Record:
         cls._key = operator.attrgetter(*cls.__slots__)  # all that == and hash read
         cls._setters = [vars(cls)[name].__set__ for name in cls.__slots__]  # past __setattr__
 
-    def _store(self, *values: Any) -> None:
+    def _store(self, *values: object) -> None:
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
-    def __setattr__(self, name: str, *value: Any) -> None:
+    def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 
-    def _fields(self) -> Dict[str, Any]:
+    def _fields(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __eq__(self, other: object) -> bool:
@@ -91,5 +92,5 @@ class _Record:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return type(self), tuple(self._fields().values())

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Tuple
 
 from . import theta_ring
 from .bn_numerics import VanishingSequence
@@ -28,7 +27,7 @@ class ChernSeries(_Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Tuple[Fraction, ...]) -> None:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         coeffs = tuple(map(_rational, coeffs))
         if not coeffs or coeffs[0] != 1:
             got = f"q_0={coeffs[0]}" if coeffs else "coeffs=()"

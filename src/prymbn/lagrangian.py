@@ -17,8 +17,8 @@ serves as a second, Pfaffian-free oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Tuple
 
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError, _at_least, _integers, _Record
@@ -31,7 +31,7 @@ class StrictPartition(_Record):
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Tuple[int, ...]) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
         parts = _integers("parts", *parts)
         if any(p < 1 for p in parts):
             raise ParameterError(f"parts must be positive: {parts}")
@@ -58,7 +58,7 @@ def staircase(m: int) -> StrictPartition:
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
-def _numerators(c: ChernSeries, top: int) -> Tuple[List[int], int]:
+def _numerators(c: ChernSeries, top: int) -> tuple[list[int], int]:
     """(n, D^2), D = lcm of the denominators of c_0..c_top (refused if c stops sooner):
     the integers n_i = c_i D and the one denominator of every Q_(a,b), a + b <= top."""
     if c.truncation < top:
@@ -68,7 +68,7 @@ def _numerators(c: ChernSeries, top: int) -> Tuple[List[int], int]:
     return [q.numerator * (d // q.denominator) for q in coeffs], d * d
 
 
-def _q2_coeff(a: int, b: int, n: List[int]) -> int:
+def _q2_coeff(a: int, b: int, n: list[int]) -> int:
     """Q_(a,b) D^2 = n_a n_b + 2 sum_{j=1}^{b} (-1)^j n_{a+j} n_{b-j}, for n_i = c_i D."""
     total = n[a] * n[b]
     for j in range(1, b + 1):
@@ -83,7 +83,7 @@ class _TwoRowTable(dict):
         super().__init__()
         self.n, self.d2 = _numerators(c, top)
 
-    def __missing__(self, key: Tuple[int, int]) -> int:
+    def __missing__(self, key: tuple[int, int]) -> int:
         q = self[key] = _q2_coeff(*key, self.n)
         return q
 
@@ -101,7 +101,7 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     return ThetaClass(Fraction(table[a, b], table.d2), a + b, THETA_PRIME)
 
 
-def _pfaffian(m: List[List[Optional[int | Fraction]]]) -> int | Fraction:
+def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
     Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM
@@ -142,7 +142,7 @@ def _pfaffian(m: List[List[Optional[int | Fraction]]]) -> int | Fraction:
     return result * sign
 
 
-def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> List[ThetaClass]:
+def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
     """Q-tilde of each partition in lams, over one table of two-row classes.
 
     The table reaches order max lambda_1 + lambda_2 over lams (_numerators refuses a

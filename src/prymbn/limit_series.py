@@ -20,8 +20,6 @@ filter of each degeneration argument and insists on a unique survivor.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from .bn_numerics import VanishingSequence, rho, rho_pointed
 from .errors import InvariantViolationError, ParameterError, _at_least, _integers, _Record
 
@@ -100,7 +98,7 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
     return result
 
 
-def enumerate_candidates(p: LimitProblem) -> List[Tuple[int, ...]]:
+def enumerate_candidates(p: LimitProblem) -> list[tuple[int, ...]]:
     """All sequences meeting the sum, range [0, d] and parity/gap constraints,
     as strictly increasing int tuples (not ``VanishingSequence`` records).
 
@@ -112,13 +110,13 @@ def enumerate_candidates(p: LimitProblem) -> List[Tuple[int, ...]]:
     list: perfbench counts candidates by wrapping this call, so pruning waits
     for in-package counters.
     """
-    out: List[Tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
     if p.s >= 0:
         _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, p.flavor != RAMIFIED_X_PLUS_Y)
     return out
 
 
-def _extend(out: List[Tuple[int, ...]], prefix: Tuple[int, ...], lo: int, step: int,
+def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: int,
             k: int, rest: int, d: int, parity: bool) -> None:
     """Append each completion of ``prefix`` by k entries, the first in range(lo, d+1, step),
     summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity."""
@@ -139,14 +137,14 @@ def _extend(out: List[Tuple[int, ...]], prefix: Tuple[int, ...], lo: int, step: 
             _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
 
 
-def _endpoint_filter_unramified(g: int, r: int, a: Tuple[int, ...]) -> bool:
+def _endpoint_filter_unramified(g: int, r: int, a: tuple[int, ...]) -> bool:
     """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}."""
     return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
                for i, order in enumerate(reversed(a)))
 
 
 def solve_unique(
-    p: LimitProblem, candidates: Optional[List[Tuple[int, ...]]] = None
+    p: LimitProblem, candidates: list[tuple[int, ...]] | None = None
 ) -> VanishingSequence:
     """Filter the candidate tuples down to the proven unique solution.
 
@@ -188,7 +186,7 @@ class AdditivityReport(_Record):
 
     __slots__ = ("lhs", "aspect_rhos", "bridge_rho", "equality")
 
-    def __init__(self, lhs: int, aspect_rhos: Tuple[int, int], bridge_rho: int,
+    def __init__(self, lhs: int, aspect_rhos: tuple[int, int], bridge_rho: int,
                  equality: bool) -> None:
         lhs, bridge_rho = _at_least("", (), lhs=lhs, bridge_rho=bridge_rho)  # read only
         self._store(lhs, _integers("aspect_rhos", *aspect_rhos), bridge_rho, equality)

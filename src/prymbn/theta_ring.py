@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -48,7 +47,7 @@ class PrymSpace(_Record):
 
     __slots__ = ("flavor", "g", "k", "dim", "theta_top")
 
-    def __init__(self, flavor: str, g: int, k: int, dim: int, theta_top: Optional[int]) -> None:
+    def __init__(self, flavor: str, g: int, k: int, dim: int, theta_top: int | None) -> None:
         (theta_top,) = (None,) if theta_top is None else _integers("theta_top", theta_top)
         self._store(flavor, *_at_least("", (), g=g, k=k, dim=dim), theta_top)  # read only
 

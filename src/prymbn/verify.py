@@ -18,8 +18,9 @@ suites check the result against the product formula ``eval_identity``
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import wraps
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
 from .bn_numerics import VanishingSequence, expected_dim_V
@@ -28,18 +29,11 @@ from .lagrangian import StrictPartition
 from .limit_series import LimitProblem, solve_unique, w_locus_expected_dim
 
 
-class Locus(NamedTuple):
-    """One locus: its CLI flags besides dim's --g/--k, its dimension report at (g, k,
-    *values), its closed-form and engine classes at the values with their citations, and
-    the engine/closed-form coefficient ratio; a fact the locus lacks is None."""
-
-    flags: Tuple[str, ...]
-    dim: Optional[Callable[..., bn_numerics.DimReport]] = None
-    closed_form: Optional[Callable[..., theta_ring.ThetaClass]] = None
-    citation: str = ""
-    engine: Optional[Callable[..., theta_ring.ThetaClass]] = None
-    engine_citation: str = ""
-    ratio: Callable[..., int] = lambda *values: 1
+Locus = namedtuple("Locus", "flags dim closed_form citation engine engine_citation ratio",
+                   defaults=(None, None, "", None, "", lambda *values: 1))
+Locus.__doc__ = """One locus: its CLI flags besides dim's --g/--k, its dimension report at
+(g, k, *values), its closed-form and engine classes at the values with their citations,
+and the engine/closed-form coefficient ratio; a fact the locus lacks is None."""
 
 
 _P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
@@ -81,15 +75,15 @@ _CALIBRATED = [key for key, (_, top) in theta_ring._SPACES.items() if top is not
 class SuiteResult(_Record):
     __slots__ = ("name", "cases", "passed", "counterexample", "vacuous")
 
-    def __init__(self, name: str, cases: int, passed: bool, counterexample: Optional[str] = None,
-                 vacuous: Optional[bool] = None) -> None:  # True when no case was checked
+    def __init__(self, name: str, cases: int, passed: bool, counterexample: str | None = None,
+                 vacuous: bool | None = None) -> None:  # True when no case was checked
         self._store(name, cases, passed, counterexample, vacuous)
 
 
 def strict_partitions(max_weight: int) -> Iterator[StrictPartition]:
     """All strict partitions with 1 <= |lambda| <= max_weight."""
 
-    def rec(remaining: int, max_part: int, prefix: Tuple[int, ...]):
+    def rec(remaining: int, max_part: int, prefix: tuple[int, ...]):
         if prefix:
             yield StrictPartition(prefix)
         for p in range(min(remaining, max_part), 0, -1):
@@ -103,12 +97,7 @@ def _sequence_for(lam: StrictPartition) -> VanishingSequence:
     return VanishingSequence(tuple(p - 1 for p in reversed(lam.parts)))
 
 
-def vanishing_sequences(max_total: int) -> Iterator[VanishingSequence]:
-    """All sequences a with |a| + r + 1 <= max_total, via their rank partitions."""
-    yield from map(_sequence_for, strict_partitions(max_total))
-
-
-EngineTable = List[Tuple[StrictPartition, theta_ring.ThetaClass]]
+EngineTable = list[tuple[StrictPartition, theta_ring.ThetaClass]]
 
 
 def engine_classes(max_weight: int) -> EngineTable:
@@ -120,32 +109,30 @@ def engine_classes(max_weight: int) -> EngineTable:
     return list(zip(lams, lagrangian.q_tilde_table(lams, c)))
 
 
-def _suite(name: str):
-    """Make a suite from a generator of case outcomes.
+def _suite(outcomes: Callable[..., Iterator[str | None]]) -> Callable[..., SuiteResult]:
+    """Make a suite from a generator of case outcomes, named for it without ``suite_``.
 
     The generator yields None for a case that holds and a counterexample
     string for one that fails.  The suite counts the cases and stops at the
     first counterexample, counting the failing case too; a suite that checked
     no case is marked vacuous.
     """
+    name = outcomes.__name__.removeprefix("suite_")
 
-    def decorate(outcomes: Callable[..., Iterator[Optional[str]]]) -> Callable[..., SuiteResult]:
-        @wraps(outcomes)
-        def suite(*args, **kwargs) -> SuiteResult:
-            cases = 0
-            for counterexample in outcomes(*args, **kwargs):
-                cases += 1
-                if counterexample is not None:
-                    return SuiteResult(name, cases, False, counterexample)
-            return SuiteResult(name, cases, True, vacuous=True if cases == 0 else None)
+    @wraps(outcomes)
+    def suite(*args, **kwargs) -> SuiteResult:
+        cases = 0
+        for counterexample in outcomes(*args, **kwargs):
+            cases += 1
+            if counterexample is not None:
+                return SuiteResult(name, cases, False, counterexample)
+        return SuiteResult(name, cases, True, vacuous=True if cases == 0 else None)
 
-        return suite
-
-    return decorate
+    return suite
 
 
-@_suite("engine_oracle")
-def suite_engine_oracle(engines: EngineTable) -> Iterator[Optional[str]]:
+@_suite
+def suite_engine_oracle(engines: EngineTable) -> Iterator[str | None]:
     """Pfaffian engine (skew elimination) against the closed product formula."""
     for lam, engine in engines:
         oracle = lagrangian.eval_identity(lam)
@@ -153,8 +140,8 @@ def suite_engine_oracle(engines: EngineTable) -> Iterator[Optional[str]]:
         yield None if ok else f"lambda={lam.parts}: engine {engine.coeff}, oracle {oracle}"
 
 
-@_suite("pointed_equivalence")
-def suite_pointed_equivalence(engines: EngineTable) -> Iterator[Optional[str]]:
+@_suite
+def suite_pointed_equivalence(engines: EngineTable) -> Iterator[str | None]:
     """Engine class of each vanishing sequence against the pointed closed form."""
     for lam, engine in engines:
         a = _sequence_for(lam)
@@ -168,7 +155,7 @@ def suite_pointed_equivalence(engines: EngineTable) -> Iterator[Optional[str]]:
         )
 
 
-def _staircase(locus: str, ranks: range) -> Iterator[Optional[str]]:
+def _staircase(locus: str, ranks: range) -> Iterator[str | None]:
     """The engine class of ``locus`` equals its ratio times its closed form, per rank."""
     entry = LOCI[locus]
     for r in ranks:
@@ -177,14 +164,14 @@ def _staircase(locus: str, ranks: range) -> Iterator[Optional[str]]:
         yield None if engine == want else f"r={r}: engine {engine} != ratio {ratio} x {closed}"
 
 
-@_suite("staircase_relation")
-def suite_staircase_relation(max_r: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_staircase_relation(max_r: int) -> Iterator[str | None]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
     return _staircase("V_eta", range(max_r + 1))
 
 
-@_suite("unramified_reproduction")
-def suite_unramified_reproduction(max_r: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_unramified_reproduction(max_r: int) -> Iterator[str | None]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
     return _staircase("V_unramified", range(1, max_r + 1))
 
@@ -194,8 +181,8 @@ def dimension_zero_genus(k: int, r: int) -> int:
     return (r + 1) * (r + 2) // 2 + 1 - k
 
 
-@_suite("count_integrality")
-def suite_count_integrality(max_r: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_count_integrality(max_r: int) -> Iterator[str | None]:
     """Counts at the dimension-zero genus are positive integers (calibrated k)."""
     for k in (k for flavor, k in _CALIBRATED if flavor == theta_ring.RAMIFIED_TWISTED):
         for r in range(max_r + 1):
@@ -211,8 +198,8 @@ def suite_count_integrality(max_r: int) -> Iterator[Optional[str]]:
             yield None if n > 0 else f"k={k} r={r} g={g}: count {n}"
 
 
-@_suite("limit_solver")
-def suite_limit_solver(max_g: int, max_r: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_limit_solver(max_g: int, max_r: int) -> Iterator[str | None]:
     """solve_unique agrees with the closed forms wherever s >= 0."""
     for flavor, closed_form in LIMIT_FLAVORS.values():
         for g in range(2, max_g + 1):
@@ -231,8 +218,8 @@ def suite_limit_solver(max_g: int, max_r: int) -> Iterator[Optional[str]]:
                 )
 
 
-@_suite("w_consistency")
-def suite_w_consistency(max_g: int, max_r: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_w_consistency(max_g: int, max_r: int) -> Iterator[str | None]:
     """Pointed W-locus dimension matches the unramified expected dimension."""
     for g in range(2, max_g + 1):
         for r in range(max_r + 1):
@@ -244,8 +231,8 @@ def suite_w_consistency(max_g: int, max_r: int) -> Iterator[Optional[str]]:
             yield None if got == want else f"g={g} r={r}: {got} != {want}"
 
 
-@_suite("degree_table")
-def suite_degree_table(max_g: int) -> Iterator[Optional[str]]:
+@_suite
+def suite_degree_table(max_g: int) -> Iterator[str | None]:
     """Top self-intersections match Riemann-Roch on the torsor: theta^dim = dim! chi,
     chi = 2^g on the twisted torsors (polarization type (1,...,1,2,...,2), g twos;
     Birkenhake-Lange, Complex Abelian Varieties, ch. 12) and chi = 1 on P+/P-."""
@@ -258,7 +245,7 @@ def suite_degree_table(max_g: int) -> Iterator[Optional[str]]:
             yield None if top == want else f"{flavor} g={g} k={k}: {top} != {want}"
 
 
-def run_all(max_weight: int, max_g: int, max_r: int) -> List[SuiteResult]:
+def run_all(max_weight: int, max_g: int, max_r: int) -> list[SuiteResult]:
     """Run every suite at the caller's bounds, in a fixed order; one engine table serves two.
 
     The bounds have no defaults here: ``pbn verify`` holds them (24, 12, 4).

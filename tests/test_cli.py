@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,7 +18,8 @@ from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, verify
 from prymbn.errors import IntegralityError, InvariantViolationError, ParameterError
 from prymbn.theta_ring import ThetaClass
 
-GOLDEN_COMMANDS = (Path(__file__).parent / "golden" / "commands.txt").read_text().splitlines()
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = (GOLDEN / "commands.txt").read_text().splitlines()
 
 
 def run_cli(*args):
@@ -537,6 +540,36 @@ class TestRefusalsNameTheValue:
         with pytest.raises(ParameterError) as info:
             call()
         assert str(info.value) == f"{text}, got {named}"
+
+
+class TestProcessExitCodes:
+    """A real pbn process, one per case: its exit code and streams, not main's return value."""
+
+    @staticmethod
+    def _run(*command):
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, *command], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_answer_exits_zero_with_the_golden_bytes(self):
+        code, out, err = self._run("-m", "prymbn.cli", *GOLDEN_COMMANDS[0].split())
+        assert (code, out, err) == (0, (GOLDEN / "expected" / "01.out").read_text(), "")
+
+    @pytest.mark.parametrize("via", ["module", "entrypoint"])
+    def test_refusal_exits_two_on_stderr_only(self, via):
+        argv = ["count", "--g", "6", "--k", "0", "--r", "2"]
+        entrypoint = f"import sys; from prymbn import cli; sys.argv[1:] = {argv!r}; cli.entrypoint()"
+        code, out, err = self._run(*(["-m", "prymbn.cli", *argv] if via == "module"
+                                     else ["-c", entrypoint]))
+        assert (code, out) == (2, "")
+        assert err.startswith("pbn: error: expected dimension is"), err
+
+    def test_usage_error_exits_two(self):
+        code, out, err = self._run("-m", "prymbn.cli", "dim", "--g", "10", "--k", "1")
+        assert (code, out) == (2, "")
+        assert "usage: pbn dim" in err and "the following arguments are required: --locus" in err
 
 
 def _raising(exc_type):

@@ -223,11 +223,14 @@ def test_records_are_immutable_values_of_their_own_class(cls, fields):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # A cold pbn process pays for every module it imports; these four serve no request.
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    # A cold pbn process pays for every module it imports; these five serve no request.
+    # A module the stdlib that cli imports already loads on some Python is not charged.
+    heavy = ("typing", "dataclasses", "inspect", "ast", "dis")
+    stdlib = "argparse, collections.abc, fractions, functools, json, math, numbers, operator"
     done = subprocess.run(
         [sys.executable, "-S", "-c",
-         f"import sys, prymbn.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+         f"import sys, {stdlib}; base = set(sys.modules); import prymbn.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules and m not in base])"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=60,
     )
