@@ -19,6 +19,7 @@ import json
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import formulas, theta_ring, verify
@@ -151,9 +152,25 @@ def _flatten_record(record: dict[str, object]) -> dict[str, str]:
     return flat
 
 
+def _int_rows(rows: Sequence[tuple[int, ...]], pad: str) -> str:
+    """``rows``, tuples of one length m >= 1, each rendered at ``pad`` and joined by
+    "," + pad: one row template of m ``%d``, repeated and filled by a single ``%``.
+    Anything but an int entry is a TypeError, never printed truncated."""
+    flat = tuple(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        raise TypeError("a tuple holds vanishing orders: int entries only")
+    inner = pad + "  "
+    row = "[" + inner + ("," + inner).join(["%d"] * len(rows[0])) + pad + "]"
+    return ("," + pad).join([row] * len(rows)) % flat
+
+
 def _json(value: object, pad: str = "\n") -> str:
     """The bytes of ``json.dumps(value, sort_keys=True, indent=2, default=str)``; ``pad`` is
-    the newline and indent ``value`` sits at.  A tuple holds vanishing orders: one join."""
+    the newline and indent ``value`` sits at.  A tuple holds vanishing orders, so its
+    entries must be ints (a TypeError otherwise, also for bool).  A list whose elements are
+    all tuples of one length m >= 1, a candidate block, renders through ``_int_rows``: one
+    row template for every row, one ``%`` for the block.  Every other list renders element
+    by element."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or value is True or value is False:
@@ -166,8 +183,10 @@ def _json(value: object, pad: str = "\n") -> str:
         return "{}" if isinstance(value, dict) else "[]"
     inner = pad + "  "
     if isinstance(value, tuple):
-        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+        return _int_rows((value,), pad)
     if isinstance(value, list):
+        if set(map(type, value)) == {tuple} and len(set(map(len, value))) == 1 and value[0]:
+            return "[" + inner + _int_rows(value, inner) + pad + "]"
         return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
     items = (f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value))
     return "{" + inner + ("," + inner).join(items) + pad + "}"

@@ -12,6 +12,7 @@ products at every staircase rank and on the sequences that the goldens,
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul
@@ -68,7 +69,11 @@ def twisted_pointed_class(a: VanishingSequence) -> ThetaClass:
     """Class of the pointed twisted locus with vanishing sequence a:
 
     prod_i 1/(a_i+1)! * prod_{j<i} (a_i-a_j)/(a_i+a_j+2) * theta'^(|a|+r+1).
+
+    ``math.factorial`` takes at most ``sys.maxsize``: a larger a_r + 1 is refused by name.
     """
+    if a[-1] >= sys.maxsize:
+        raise ParameterError(f"(a_i+1)! needs a_i < {sys.maxsize}, got a_{a.r}={a[-1]}")
     pairs = list(combinations(a.entries, 2))  # (a_j, a_i) with j < i
     num = math.prod(ai - aj for aj, ai in pairs)
     den = math.prod(math.factorial(ai + 1) for ai in a)

@@ -138,9 +138,11 @@ def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: 
 
 
 def _endpoint_filter_unramified(g: int, r: int, a: tuple[int, ...]) -> bool:
-    """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}."""
-    return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
-               for i, order in enumerate(reversed(a)))
+    """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}.  No entry
+    reaches a_r + 2, so the i = 0 term reads a_r = g+r-1: tested first, it rejects most."""
+    return a[-1] == g + r - 1 and all(
+        g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
+        for i, order in enumerate(reversed(a)))
 
 
 def solve_unique(

@@ -499,6 +499,11 @@ class TestRefusalsNameTheValue:
             ("count --g 4 --k 3 --r 1", "twisted loci are supported for k in {0,1,2}", "k=3"),
             ("dim --locus V_eta_pointed --g 5 --k 1 --a=-1,2",
              "vanishing orders must be non-negative", "entries=(-1, 2)"),
+            # math.factorial refuses an argument past sys.maxsize with an OverflowError.
+            ("class --locus V_eta_pointed --a 0,9999999999999999999",
+             f"(a_i+1)! needs a_i < {sys.maxsize}", "a_1=9999999999999999999"),
+            (f"class --locus V_eta_pointed --a 1,{sys.maxsize} --engine",
+             f"(a_i+1)! needs a_i < {sys.maxsize}", f"a_1={sys.maxsize}"),
         ],
     )
     def test_refusal_names_the_value(self, argv, text, named):
@@ -700,6 +705,28 @@ class TestJsonRenderer:
     def test_matches_json_dumps(self, value):
         with unlimited_int_digits():
             assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+    @given(st.integers(1, 8).flatmap(lambda m: st.lists(
+        st.tuples(*[st.integers() | _HUGE] * m), min_size=1, max_size=64)))
+    @example([(0, 8), (1,), (2, 6)])  # mixed lengths
+    @example([(0, 8), [1, 7]])  # a tuple next to a list
+    @example([(3,), (-4,)])  # one-entry tuples
+    @example([(0, 8), (), (2, 6)])  # an empty tuple among non-empty ones
+    @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_candidate_block_matches_json_dumps(self, rows):
+        with unlimited_int_digits():
+            for value in (rows, {"result": {"candidates": rows, "s": 1}}):
+                assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2,
+                                                      default=str)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(7, 2), Fraction(4, 2), True])
+    @pytest.mark.parametrize("path", ["lone tuple", "block"])
+    def test_non_int_tuple_entry_is_a_type_error(self, bad, path):
+        # "%d" would print 1.5 as 1 and Fraction(7, 2) as 3: refused, never truncated.
+        value = (0, bad) if path == "lone tuple" else [(0, 2), (1, bad), (4, 6)]
+        for record in (value, {"candidates": value}):
+            with pytest.raises(TypeError, match="int entries only"):
+                cli._json(record)
 
     @pytest.mark.parametrize("index,line", list(enumerate(GOLDEN_COMMANDS, 1)))
     def test_golden_json_rerenders_to_the_same_bytes(self, index, line):

@@ -56,6 +56,13 @@ def naive_candidates(p):
     return out
 
 
+def full_section_count_rule(g, r, a):
+    """The unramified section-count rule term by term, with no shortcut:
+    g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2} for every i."""
+    return all(g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
+               for i, order in enumerate(reversed(a)))
+
+
 def dp_count(p):
     """Number of strictly increasing (r+1)-tuples in [0, d] with the target
     sum and the flavor's step rule, by dynamic programming over (last, sum)."""
@@ -236,6 +243,29 @@ class TestEnumerate:
                 if p.s < 0:
                     continue
                 assert prym_limit_vanishing_ramified(g, r).entries in enumerate_candidates(p)
+
+
+class TestEndpointFilter:
+    """_endpoint_filter_unramified tests a_r = g+r-1 first; the answer is the full rule's."""
+
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=7, unique=True).map(sorted),
+           st.integers(-2, 2), st.integers(-1, 1))
+    def test_shortcut_matches_the_full_rule(self, entries, dg, dr):
+        a = tuple(entries)
+        r = len(a) - 1 + dr
+        g = a[-1] - r + 1 + dg  # dg = 0 passes the i = 0 term, so the rest is reached
+        assert (limit_series._endpoint_filter_unramified(g, r, a)
+                == full_section_count_rule(g, r, a))
+
+    def test_shortcut_matches_the_full_rule_on_every_naive_candidate(self):
+        checked = passed = 0
+        for g in range(1, 11):
+            for r in range(4):
+                for a in naive_candidates(LimitProblem(UNRAMIFIED_DELTA1, g, r)):
+                    got = limit_series._endpoint_filter_unramified(g, r, a)
+                    assert got == full_section_count_rule(g, r, a), (g, r, a)
+                    checked, passed = checked + 1, passed + got
+        assert checked > 150 and passed > 20
 
 
 class TestLimitProblem:
