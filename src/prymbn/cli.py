@@ -1,15 +1,15 @@
 """Command line front end: the ``pbn`` tool.
 
-Subcommands expose the dimension reports, class formulas, point counts,
-limit-series solver and the cross-module verification suites.  Each locus
-and limit flavor, with its flags and library functions, is read from
-``verify.LOCI`` and ``verify.LIMIT_FLAVORS``.  Output is a canonical record
-(json, csv or md): keys sorted, rationals as reduced "p/q" strings, integers
-unquoted.  JSON is written by one renderer, ``_json``, whose test oracle is
-``json.dumps(..., sort_keys=True, indent=2, default=str)``.  Exit codes: 0
-for success (including proven-empty loci), 1 for invariant violations, 2 for
-usage errors.  No configuration files and no environment variables, so a
-fixed command line always reproduces the same bytes.
+One command table builds the parser: each subcommand with its help, handler and
+flags.  dim and class take the ``_LOCUS_FLAGS`` their loci in ``verify.LOCI`` use,
+and limits the flavors of ``verify.LIMIT_FLAVORS``.  A handler returns the result
+and citations; ``params`` echoes each parsed flag that is not None or False.
+Output is a canonical record (json, csv or md): keys sorted, rationals as
+reduced "p/q" strings, integers unquoted.  JSON is written by one renderer,
+``_json``, whose test oracle is ``json.dumps(..., sort_keys=True, indent=2,
+default=str)``.  Exit codes: 0 for success (including proven-empty loci), 1 for
+invariant violations, 2 for usage errors.  No configuration files and no
+environment variables, so a fixed command line always reproduces the same bytes.
 """
 
 from __future__ import annotations
@@ -48,13 +48,20 @@ def _parse_sequence(text: str) -> VanishingSequence:
         raise ParameterError(f"invalid vanishing sequence {text!r}: {exc}") from exc
 
 
-def _locus_args(args, flags: Sequence[str], params: dict[str, object]) -> list[object]:
-    """The values of the locus flags ``flags``, in order, also put in ``params``.
+# Each locus flag besides dim's --g/--k, with its argparse keywords, in the order
+# dim and class list them; a subcommand gets the flags its loci use in verify.LOCI.
+_LOCUS_FLAGS = {
+    "r": {"type": int},
+    "d": {"type": int},
+    "a": {"help": "comma-separated vanishing sequence, e.g. 0,2"},
+}
 
-    A flag of ``flags`` that is missing, or one of --r/--d/--a that is given
-    but not in ``flags``, is a usage error naming the flag.
-    """
-    for flag in ("r", "d", "a"):
+
+def _locus_args(args, flags: Sequence[str]) -> list[object]:
+    """The values of the locus flags ``flags``, in order; --a's parsed orders go back
+    to ``args`` for the echo.  A flag of ``flags`` that is missing, or a locus flag
+    that is given but not in ``flags``, is a usage error naming the flag."""
+    for flag in _LOCUS_FLAGS:
         if flag not in flags and getattr(args, flag, None) is not None:
             raise ParameterError(f"--{flag} is not used by locus {args.locus}")
     values = []
@@ -64,45 +71,39 @@ def _locus_args(args, flags: Sequence[str], params: dict[str, object]) -> list[o
             raise ParameterError(f"--{flag} is required for locus {args.locus}")
         if flag == "a":
             value = _parse_sequence(value)
-            params["a"] = list(value.entries)
-        else:
-            params[flag] = value
+            args.a = value.entries
         values.append(value)
     return values
 
 
-# What a command returns: (params, result, citations); main makes the record.
-_Reply = tuple[dict[str, object], dict[str, object], list[str]]
+# What a command returns: (result, citations); main makes the record.
+_Reply = tuple[dict[str, object], list[str]]
 
 
 def _cmd_dim(args) -> _Reply:
     locus = verify.LOCI[args.locus]
-    params: dict[str, object] = {"locus": args.locus, "g": args.g, "k": args.k}
-    rep = locus.dim(args.g, args.k, *_locus_args(args, locus.flags, params))
+    rep = locus.dim(args.g, args.k, *_locus_args(args, locus.flags))
     result = {"value": rep.value, "exactness": rep.exactness, "emptiness": rep.emptiness}
-    return params, result, [rep.source]
+    return result, [rep.source]
 
 
 def _cmd_class(args) -> _Reply:
     locus = verify.LOCI[args.locus]
-    params: dict[str, object] = {"locus": args.locus}
-    values = _locus_args(args, locus.flags, params)
+    values = _locus_args(args, locus.flags)
     cls = locus.closed_form(*values)
     result: dict[str, object] = {"class": _theta_json(cls)}
     citations = [locus.citation]
     if args.engine:
-        params["engine"] = True
         engine = locus.engine(*values)
         citations.append(locus.engine_citation)
         result["engine"] = _theta_json(engine)
         result["engine_agrees"] = engine == cls
         if engine.exponent == cls.exponent and cls.coeff != 0:
             result["engine_ratio"] = _rat(engine.coeff / cls.coeff)
-    return params, result, citations
+    return result, citations
 
 
 def _cmd_count(args) -> _Reply:
-    params = {"g": args.g, "k": args.k, "r": args.r}
     locus = verify.LOCI["V_eta"]
     rep = locus.dim(args.g, args.k, args.r)
     if rep.value != 0:
@@ -111,29 +112,27 @@ def _cmd_count(args) -> _Reply:
     space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
     n = formulas.count_points(locus.closed_form(args.r), space)
     result = {"count": n, "theta_top": space.theta_top}
-    return params, result, ["cardinality of the zero-dimensional twisted locus"]
+    return result, ["cardinality of the zero-dimensional twisted locus"]
 
 
 def _cmd_limits(args) -> _Reply:
-    params: dict[str, object] = {"flavor": args.flavor, "g": args.g, "r": args.r}
-    problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor][0], args.g, args.r)
+    problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor], args.g, args.r)
     result: dict[str, object] = {"empty": problem.s < 0, "s": problem.s}
     candidates = enumerate_candidates(problem) if args.show_candidates else None
     if candidates is not None:  # [] on an empty locus (s < 0)
-        params["show_candidates"] = True
         result["candidates"] = candidates
     if problem.s >= 0:
         result["solution"] = solve_unique(problem, candidates).entries
-    return params, result, ["vanishing orders of aspects of Prym limit linear series"]
+    return result, ["vanishing orders of aspects of Prym limit linear series"]
 
 
 def _cmd_verify(args) -> _Reply:
-    params = {"max_weight": args.max_weight, "max_g": args.max_g, "max_r": args.max_r}
-    _at_least("verification bounds must be non-negative", (0, 0, 0), **params)
+    _at_least("verification bounds must be non-negative", (0, 0, 0), max_weight=args.max_weight,
+              max_g=args.max_g, max_r=args.max_r)
     results = verify.run_all(args.max_weight, args.max_g, args.max_r)
     suites = [{k: v for k, v in res._fields().items() if v is not None} for res in results]
     all_passed = all(res.passed for res in results)
-    return params, {"suites": suites, "all_passed": all_passed}, ["cross-module identity suites"]
+    return {"suites": suites, "all_passed": all_passed}, ["cross-module identity suites"]
 
 
 def _flatten_record(record: dict[str, object]) -> dict[str, str]:
@@ -212,56 +211,43 @@ def _render(record: dict[str, object], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _locus_arguments(fact: str, *between) -> list[tuple[str, dict[str, object]]]:
+    """--locus over the loci that have ``fact``, then ``between``, then the flags of
+    ``_LOCUS_FLAGS`` that those loci use."""
+    names = tuple(n for n, l in verify.LOCI.items() if getattr(l, fact))
+    used = {flag for n in names for flag in verify.LOCI[n].flags}
+    return [("--locus", {"required": True, "choices": names}), *between,
+            *((f"--{flag}", kw) for flag, kw in _LOCUS_FLAGS.items() if flag in used)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pbn",
-        description="Exact numerical invariants of Prym-Brill-Noether loci.",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "md"), default="json",
-        help="output format (default: json)",
-    )
+        prog="pbn", description="Exact numerical invariants of Prym-Brill-Noether loci.")
+    parser.add_argument("--format", choices=("json", "csv", "md"), default="json",
+                        help="output format (default: json)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_dim = sub.add_parser("dim", help="expected-dimension report for a locus")
-    p_dim.add_argument("--locus", required=True,
-                       choices=tuple(n for n, l in verify.LOCI.items() if l.dim))
-    p_dim.add_argument("--g", type=int, required=True)
-    p_dim.add_argument("--k", type=int, required=True)
-    p_dim.add_argument("--r", type=int)
-    p_dim.add_argument("--d", type=int)
-    p_dim.add_argument("--a", help="comma-separated vanishing sequence, e.g. 0,2")
-    p_dim.set_defaults(func=_cmd_dim)
-
-    p_class = sub.add_parser("class", help="cohomology class as a theta multiple")
-    p_class.add_argument("--locus", required=True,
-                         choices=tuple(n for n, l in verify.LOCI.items() if l.closed_form))
-    p_class.add_argument("--r", type=int)
-    p_class.add_argument("--a", help="comma-separated vanishing sequence")
-    p_class.add_argument(
-        "--engine", action="store_true",
-        help="also run the Pfaffian engine and report agreement",
-    )
-    p_class.set_defaults(func=_cmd_class)
-
-    p_count = sub.add_parser("count", help="point count of a zero-dimensional locus")
-    p_count.add_argument("--g", type=int, required=True)
-    p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--r", type=int, required=True)
-    p_count.set_defaults(func=_cmd_count)
-
-    p_limits = sub.add_parser("limits", help="limit-series vanishing orders")
-    p_limits.add_argument("--flavor", required=True, choices=tuple(verify.LIMIT_FLAVORS))
-    p_limits.add_argument("--g", type=int, required=True)
-    p_limits.add_argument("--r", type=int, required=True)
-    p_limits.add_argument("--show-candidates", action="store_true")
-    p_limits.set_defaults(func=_cmd_limits)
-
-    p_verify = sub.add_parser("verify", help="run the cross-module identity suites")
-    p_verify.add_argument("--max-weight", type=int, default=24)
-    p_verify.add_argument("--max-g", type=int, default=12)
-    p_verify.add_argument("--max-r", type=int, default=4)
-    p_verify.set_defaults(func=_cmd_verify)
+    needed = {"type": int, "required": True}
+    commands = [  # (name, help, handler, [(flag, argparse keywords)])
+        ("dim", "expected-dimension report for a locus", _cmd_dim,
+         _locus_arguments("dim", ("--g", needed), ("--k", needed))),
+        ("class", "cohomology class as a theta multiple", _cmd_class, [
+            *_locus_arguments("closed_form"),
+            ("--engine", {"action": "store_true",
+                          "help": "also run the Pfaffian engine and report agreement"})]),
+        ("count", "point count of a zero-dimensional locus", _cmd_count,
+         [("--g", needed), ("--k", needed), ("--r", needed)]),
+        ("limits", "limit-series vanishing orders", _cmd_limits, [
+            ("--flavor", {"required": True, "choices": tuple(verify.LIMIT_FLAVORS)}),
+            ("--g", needed), ("--r", needed), ("--show-candidates", {"action": "store_true"})]),
+        ("verify", "run the cross-module identity suites", _cmd_verify,
+         [("--max-weight", {"type": int, "default": 24}),
+          ("--max-g", {"type": int, "default": 12}), ("--max-r", {"type": int, "default": 4})]),
+    ]
+    for name, help_text, handler, arguments in commands:
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 
@@ -272,7 +258,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        params, result, citations = args.func(args)
+        result, citations = args.func(args)
+        # params: each subcommand flag that was given or has a default, as parsed
+        params = {k: v for k, v in vars(args).items() if v is not None and v is not False
+                  and k not in ("format", "subcommand", "func")}
         text = _render({"command": args.subcommand, "params": params, "result": result,
                         "citations": citations}, args.format)
     except InvariantViolationError as exc:

@@ -1,8 +1,10 @@
 """The table of locus facts, and the cross-module identity suites.
 
 ``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form
-and engine with their citations, and the engine/closed-form ratio.  The CLI
-builds its parser and dispatch from it and from ``LIMIT_FLAVORS``, and the
+and engine with their citations, and the engine/closed-form ratio.
+``LIMIT_FLAVORS`` maps each ``pbn limits --flavor`` name to its limit_series
+flavor.  The CLI's command table reads the locus choices, the locus flags of
+dim and class and the flavor choices from these two tables, and the
 staircase suites check each engine against its ratio times its closed form.
 Each suite returns a SuiteResult with the first counterexample on failure,
 marked vacuous when it checked no case.  The suites take their bounds from
@@ -61,11 +63,9 @@ LOCI = {
     "V_eta_div": Locus(("r", "d"), lambda *v: bn_numerics.expected_dim_V_eta_divisor(*v)),
 }
 
-LIMIT_FLAVORS = {  # CLI flavor -> (limit_series flavor, closed-form solution at (g, r))
-    "unramified": (limit_series.UNRAMIFIED_DELTA1,
-                   lambda g, r: limit_series.prym_limit_vanishing(g, r)),
-    "ramified": (limit_series.RAMIFIED_X_PLUS_Y,
-                 lambda g, r: limit_series.prym_limit_vanishing_ramified(g, r)),
+LIMIT_FLAVORS = {  # CLI flavor -> limit_series flavor
+    "unramified": limit_series.UNRAMIFIED_DELTA1,
+    "ramified": limit_series.RAMIFIED_X_PLUS_Y,
 }
 
 # The torsors with a calibrated top degree, in theta_ring's order.
@@ -200,22 +200,20 @@ def suite_count_integrality(max_r: int) -> Iterator[str | None]:
 
 @_suite
 def suite_limit_solver(max_g: int, max_r: int) -> Iterator[str | None]:
-    """solve_unique agrees with the closed forms wherever s >= 0."""
-    for flavor, closed_form in LIMIT_FLAVORS.values():
+    """solve_unique proves a unique survivor wherever s >= 0; it raises when the
+    survivor differs from the closed form, and the suite reports that error."""
+    for flavor in LIMIT_FLAVORS.values():
         for g in range(2, max_g + 1):
             for r in range(max_r + 1):
                 p = LimitProblem(flavor, g, r)
                 if p.s < 0:
                     continue
                 try:
-                    solved = solve_unique(p)
+                    solve_unique(p)
                 except PrymBNError as exc:
                     yield f"{flavor} g={g} r={r}: {exc}"
-                    continue
-                closed = closed_form(g, r)
-                yield None if solved == closed else (
-                    f"{flavor} g={g} r={r}: {solved.entries} != {closed.entries}"
-                )
+                else:
+                    yield None
 
 
 @_suite

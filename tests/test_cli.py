@@ -577,11 +577,48 @@ class TestProcessExitCodes:
         assert "usage: pbn dim" in err and "the following arguments are required: --locus" in err
 
 
+# The flags of each subcommand, in the order its --help lists them.
+_SUBCOMMAND_FLAGS = {
+    "dim": ["--locus", "--g", "--k", "--r", "--d", "--a"],
+    "class": ["--locus", "--r", "--a", "--engine"],
+    "count": ["--g", "--k", "--r"],
+    "limits": ["--flavor", "--g", "--r", "--show-candidates"],
+    "verify": ["--max-weight", "--max-g", "--max-r"],
+}
+
+
+def _help_flags(command):
+    """Exit code, the long flags in the options list of ``pbn <command> --help``, and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    flags = re.findall(r"^  (--[a-z-]+)", out.getvalue(), re.MULTILINE)
+    return exit_.value.code, flags, err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+    def test_help_lists_every_flag(self, command):
+        assert _help_flags(command) == (0, _SUBCOMMAND_FLAGS[command], "")
+
+    @pytest.mark.parametrize("command,fact", [("dim", "dim"), ("class", "closed_form")])
+    def test_locus_flags_are_those_of_the_loci(self, command, fact):
+        used = {f"--{flag}" for locus in verify.LOCI.values() if getattr(locus, fact)
+                for flag in locus.flags}
+        fixed = {"--locus", "--g", "--k", "--engine"}
+        assert set(_help_flags(command)[1]) - fixed == used
+
+
 def _raising(exc_type):
     def fail(*args):
         raise exc_type("injected")
 
     return fail
+
+
+def _shifted_by_two(centered):
+    """A stand-in for limit_series._centered that moves every closed-form order up by 2."""
+    return lambda p: bn_numerics.VanishingSequence(tuple(x + 2 for x in centered(p)))
 
 
 class TestInvariantViolationExits:
@@ -599,9 +636,7 @@ class TestInvariantViolationExits:
                                "unramified_delta1 g=5 r=1: expected a unique survivor")
 
     def test_survivor_off_the_closed_form_exits_one(self, monkeypatch):
-        real = limit_series._centered
-        monkeypatch.setattr(limit_series, "_centered", lambda p: bn_numerics.VanishingSequence(
-            tuple(x + 2 for x in real(p))))
+        monkeypatch.setattr(limit_series, "_centered", _shifted_by_two(limit_series._centered))
         self._assert_violation(
             "limits --flavor ramified --g 5 --r 1",
             "ramified_x_plus_y g=5 r=1: survivor (4, 6) differs from closed form (6, 8)")
@@ -611,6 +646,10 @@ class TestInvariantViolationExits:
         [
             (verify, "solve_unique", _raising(InvariantViolationError), "limit_solver",
              "unramified_delta1 g=2 r=0: injected"),
+            # solve_unique's own closed-form check is the suite's only comparison
+            (limit_series, "_centered", _shifted_by_two(limit_series._centered), "limit_solver",
+             "unramified_delta1 g=2 r=0: unramified_delta1 g=2 r=0: survivor (1,) differs from"
+             " closed form (3,)"),
             (formulas, "count_points", _raising(IntegralityError), "count_integrality",
              "k=1 r=1 g=3: injected"),
             (lagrangian, "partition_for", lambda a: lagrangian.StrictPartition.of(9),
@@ -782,6 +821,24 @@ def _argvs(draw):
     return argv
 
 
+def _echo(argv):
+    """The params of a drawn argv that answers: each flag as parsed, a store-true flag
+    only when given, and verify's missing bounds at their defaults."""
+    params = {"max_weight": 24, "max_g": 12, "max_r": 4} if argv[0] == "verify" else {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        key = flag[2:].replace("-", "_")
+        if flag in ("--engine", "--show-candidates"):
+            params[key] = True
+        elif flag in ("--locus", "--flavor"):
+            params[key] = next(tokens)
+        elif flag == "--a":
+            params[key] = [int(t) for t in next(tokens).split(",")]
+        else:
+            params[key] = int(next(tokens))
+    return params
+
+
 def _run_any(*argv):
     """run_cli, with argparse's SystemExit read as its exit code."""
     try:
@@ -835,6 +892,7 @@ class TestContract:
             if code == 2:
                 return
             assert cli._json(json.loads(out)) + "\n" == out
+            assert json.loads(out)["params"] == _echo(argv)
             keys = _json_keys(out)
             for fmt in ("csv", "md"):
                 code, table, err = _run_any("--format", fmt, *argv)

@@ -1,0 +1,130 @@
+"""Mutation gate: each mutant of the table must make its named tests fail.
+
+Run from anywhere, with pytest and hypothesis installed::
+
+    python tools/mutants.py
+
+For each entry of ``MUTANTS`` the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a fresh temporary directory, replaces the one place
+where the snippet occurs in the file by its replacement, and runs the named
+test nodes there with ``pytest -x -q``.  ``pyproject.toml`` puts ``src`` on
+pytest's ``pythonpath``, so the copy's code is the code under test.  Before
+the mutants, the named nodes run once on an unchanged copy and must pass.
+
+The gate exits 1 if a mutant survives (its tests pass), if a snippet matches
+no place or more than one place, or if pytest ends otherwise than with
+failed tests (a node id that names no test, a collection error).  Standard
+library only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (what the mutant breaks, file, exact snippet, replacement, test nodes that must fail)
+MUTANTS = [
+    ("the unused-flag refusal of _locus_args is skipped", "src/prymbn/cli.py",
+     "if flag not in flags and getattr(args, flag, None) is not None:",
+     "if False:",
+     ["tests/test_cli.py::TestDim::test_unused_flag_is_usage_error",
+      "tests/test_cli.py::TestClass::test_unused_flag_is_usage_error"]),
+    ("the params echo keeps False flags", "src/prymbn/cli.py",
+     "if v is not None and v is not False",
+     "if v is not None",
+     ["tests/test_golden.py::test_golden_output[9-class --locus V_eta --r 1]",
+      "tests/test_cli.py::TestContract::test_exit_zero_or_two_and_formats_agree"]),
+    ("md no longer escapes the cell separator", "src/prymbn/cli.py",
+     'flat[k].replace("|", r"\\|")',
+     "flat[k]",
+     ["tests/test_cli.py::TestFormats::test_md_escapes_the_cell_separator"]),
+    ("_pfaffian's row swap keeps the sign", "src/prymbn/lagrangian.py",
+     "            sign = -sign\n",
+     "",
+     ["tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows",
+      "tests/test_lagrangian.py::TestLaplaceOracle::test_engine_matches_laplace_expansion"]),
+    ("_suite never marks a suite vacuous", "src/prymbn/verify.py",
+     "vacuous=True if cases == 0 else None",
+     "vacuous=None",
+     ["tests/test_cli.py::TestVerify::test_vacuous_suites_are_marked"]),
+    ("degree_table reads the table's top degree, not Riemann-Roch", "src/prymbn/verify.py",
+     "want = math.factorial(space.dim) * chi",
+     "want = space.theta_top",
+     ["tests/test_cli.py::TestVerify::test_degree_table_checks_riemann_roch_not_the_table"]),
+    ("solve_unique takes the first of several survivors", "src/prymbn/limit_series.py",
+     "if len(survivors) != 1:",
+     "if not survivors:",
+     ["tests/test_cli.py::TestInvariantViolationExits::test_no_unique_survivor_exits_one"]),
+    ("main exits 2 on an invariant violation", "src/prymbn/cli.py",
+     'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return INVARIANT_ERROR',
+     'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return USAGE_ERROR',
+     ["tests/test_cli.py::TestInvariantViolationExits::test_no_unique_survivor_exits_one"]),
+]
+
+
+def _copy(into: Path) -> None:
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", into / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", into)
+
+
+def _pytest(where: Path, nodes: list[str]) -> subprocess.CompletedProcess:
+    # No PYTHONPATH, so that only the copy's src (from pyproject.toml) is importable first.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes],
+        cwd=where, env=env, capture_output=True, text=True)
+
+
+def _mutate(where: Path, path: str, snippet: str, replacement: str) -> str | None:
+    """Apply one mutant to the copy; an error text if the snippet is not matched once."""
+    target = where / path
+    source = target.read_text()
+    found = source.count(snippet)
+    if found != 1:
+        return f"snippet found {found} times in {path}: {snippet!r}"
+    target.write_text(source.replace(snippet, replacement))
+    return None
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        start = time.perf_counter()
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        nodes = list(dict.fromkeys(node for *_, named in MUTANTS for node in named))
+        done = _pytest(clean, nodes)
+        if done.returncode != 0:
+            print(done.stdout + done.stderr)
+            print(f"mutants: pytest exited {done.returncode} on the unchanged code, not 0")
+            return 1
+        for i, (what, path, snippet, replacement, named) in enumerate(MUTANTS):
+            where = Path(tmp) / f"mutant{i}"
+            _copy(where)
+            error = _mutate(where, path, snippet, replacement)
+            if error is None:
+                done = _pytest(where, named)
+                if done.returncode == 0:
+                    error = "survived"
+                elif done.returncode != 1:  # not "tests failed": a bad node id, an import error
+                    error = f"pytest exited {done.returncode}\n{done.stdout}{done.stderr}"
+            shutil.rmtree(where)
+            print(f"{'killed  ' if error is None else 'FAILED  '}{what}")
+            if error is not None:
+                failures.append(f"{what}: {error}")
+        elapsed = time.perf_counter() - start
+    for failure in failures:
+        print(f"mutants: {failure}")
+    print(f"mutants: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} killed in {elapsed:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
