@@ -3,9 +3,9 @@
 Every locus family handled here is parametrized purely by the numbers
 (g, k, r, d, a); the geometric objects behind them have no computational
 representation.  rho is computed signed, never clamped: the limit-series
-additivity chains need negative values.  Emptiness semantics live entirely
-in DimReport and are encoded per theorem, never inferred from the sign of
-a lower bound.
+additivity chains need negative values.  Every DimReport is built by
+``_report``, one rule for what the cited theorem lets a report claim, so
+emptiness is never inferred from the sign of a lower bound.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ class DimReport(_Record):
         self._store(*_integers("value", value), exactness, emptiness, source)
 
 
+def _report(value: int, source: str, exact: bool, nonempty: bool) -> DimReport:
+    """The only DimReport constructor.  ``theorem_exact`` if ``exact`` (the theorem pins
+    the dimension), else ``lower_bound_only``; ``empty`` only if exact and value < 0,
+    ``nonempty`` only if ``nonempty`` (the theorem proves existence) and value >= 0."""
+    emptiness = (EMPTY if exact and value < 0
+                 else NONEMPTY if nonempty and value >= 0 else UNKNOWN)
+    return DimReport(value, THEOREM_EXACT if exact else LOWER_BOUND_ONLY, emptiness, source)
+
+
 def rho(g: int, r: int, d: int) -> int:
     """Classical Brill-Noether number g - (r+1)(g-d+r), signed."""
     g, r, d = _at_least("rho requires non-negative g, r, d", (0, 0, 0), g=g, r=r, d=d)
@@ -105,9 +114,7 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
         source = "exact dimension g-(r+1)(r+2)/2 of the norm-omega locus (2 branch points)"
     else:
         source = "lower bound g-1+k-k(r+1)-r(r+1)/2 on the norm-omega locus"
-    if k in (0, 1):
-        return DimReport(value, THEOREM_EXACT, EMPTY if value < 0 else NONEMPTY, source)
-    return DimReport(value, LOWER_BOUND_ONLY, UNKNOWN, source)
+    return _report(value, source, k < 2, k < 2)
 
 
 def _check_twisted(g: int, k: int) -> tuple[int, int]:
@@ -118,23 +125,13 @@ def _check_twisted(g: int, k: int) -> tuple[int, int]:
     return g, k
 
 
-def _twisted_emptiness(value: int, k: int) -> str:
-    """Empty below dimension 0, non-empty for k in {1, 2}.
-
-    For k = 0 the dimension is exact but non-emptiness is not established.
-    """
-    if value < 0:
-        return EMPTY
-    return NONEMPTY if k else UNKNOWN
-
-
 def expected_dim_V_eta(g: int, k: int, r: int) -> DimReport:
     """Twisted locus (norm omega_C x eta): exact dimension g+k-1-(r+1)(r+2)/2."""
     g, k = _check_twisted(g, k)
     (r,) = _at_least("rank must be non-negative", (0,), r=r)
     value = g + k - 1 - (r + 1) * (r + 2) // 2
     source = "exact dimension g+k-1-(r+1)(r+2)/2 of the twisted locus"
-    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
+    return _report(value, source, True, k > 0)
 
 
 def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimReport:
@@ -144,7 +141,7 @@ def expected_dim_V_eta_pointed(g: int, k: int, a: VanishingSequence) -> DimRepor
         raise ParameterError(f"top vanishing order {a[-1]} exceeds 2g-2+k = {2 * g - 2 + k}")
     value = g + k - a.r - 2 - a.weight
     source = "exact dimension g+k-r-2-|a| of the pointed twisted locus"
-    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
+    return _report(value, source, True, k > 0)
 
 
 def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
@@ -152,14 +149,9 @@ def expected_dim_V_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     g, k, r, d = _at_least("invalid parameters for divisor-twisted locus", (2, 0, 0, 0),
                            g=g, k=k, r=r, d=d)
     value = g - 1 + k - (d + k) * (r + 1) - r * (r + 1) // 2
-    if k == 0:
-        source = "exact dimension g-1-r(r+1)/2-d(r+1) of the divisor-twisted locus"
-        # The exact statement is about components; emptiness is proved only
-        # for negative expected dimension.
-        emptiness = EMPTY if value < 0 else UNKNOWN
-        return DimReport(value, THEOREM_EXACT, emptiness, source)
-    source = "lower bound g-1+k-(d+k)(r+1)-r(r+1)/2 on the divisor-twisted locus"
-    return DimReport(value, LOWER_BOUND_ONLY, UNKNOWN, source)
+    source = ("exact dimension g-1-r(r+1)/2-d(r+1) of the divisor-twisted locus" if k == 0
+              else "lower bound g-1+k-(d+k)(r+1)-r(r+1)/2 on the divisor-twisted locus")
+    return _report(value, source, k == 0, False)  # exact on components; existence unproved
 
 
 def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
@@ -168,4 +160,4 @@ def expected_dim_V_eta_divisor(g: int, k: int, r: int, d: int) -> DimReport:
     r, d = _at_least("rank and divisor degree must be non-negative", (0, 0), r=r, d=d)
     value = g - 1 + k - d * (r + 1) - (r + 1) * (r + 2) // 2
     source = "exact dimension g-1+k-(r+1)(r+2)/2-d(r+1) of the twisted divisor locus"
-    return DimReport(value, THEOREM_EXACT, _twisted_emptiness(value, k), source)
+    return _report(value, source, True, k > 0)

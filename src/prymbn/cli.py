@@ -15,6 +15,7 @@ environment variables, so a fixed command line always reproduces the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -221,8 +222,11 @@ def _locus_arguments(fact: str, *between) -> list[tuple[str, dict[str, object]]]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A fixed width: argparse would otherwise size help and usage errors from COLUMNS.
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
-        prog="pbn", description="Exact numerical invariants of Prym-Brill-Noether loci.")
+        prog="pbn", description="Exact numerical invariants of Prym-Brill-Noether loci.",
+        formatter_class=formatter)
     parser.add_argument("--format", choices=("json", "csv", "md"), default="json",
                         help="output format (default: json)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
           ("--max-g", {"type": int, "default": 12}), ("--max-r", {"type": int, "default": 4})]),
     ]
     for name, help_text, handler, arguments in commands:
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
         for flag, keywords in arguments:
             command.add_argument(flag, **keywords)
         command.set_defaults(func=handler)

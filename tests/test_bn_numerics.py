@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prymbn.bn_numerics import (
@@ -237,3 +237,45 @@ class TestDivisorTwists:
                     assert (twisted.value, twisted.exactness, twisted.emptiness) == (
                         base.value, base.exactness, base.emptiness
                     )
+
+
+# One call of each of the five reports, over small values and some invalid ones
+# (-1, k = 3 or 4 for the twisted loci, a top order past 2g-2+k).
+_n, _k, _r = st.integers(-1, 30), st.integers(-1, 4), st.integers(-1, 8)
+_a = st.sets(st.integers(0, 12), min_size=1, max_size=5).map(
+    lambda s: VanishingSequence.of(*sorted(s)))
+_report_calls = st.one_of(
+    st.tuples(st.just(expected_dim_V), st.tuples(_n, _k, _r)),
+    st.tuples(st.just(expected_dim_V_eta), st.tuples(_n, _k, _r)),
+    st.tuples(st.just(expected_dim_V_eta_pointed), st.tuples(_n, _k, _a)),
+    st.tuples(st.just(expected_dim_V_divisor), st.tuples(_n, _k, _r, _n)),
+    st.tuples(st.just(expected_dim_V_eta_divisor), st.tuples(_n, _k, _r, _n)),
+)
+
+
+class TestReportRule:
+    """What any report may claim: emptiness only where the cited theorem proves it."""
+
+    @given(_report_calls)
+    @example((expected_dim_V, (2, 3, 2)))  # lower bound -8
+    @example((expected_dim_V_divisor, (2, 1, 1, 3)))  # lower bound -7
+    @example((expected_dim_V, (10, 3, 1)))  # lower bound 5
+    def test_claims_follow_exactness_and_sign(self, call):
+        f, args = call
+        try:
+            rep = f(*args)
+        except ParameterError:
+            return
+        if rep.emptiness == EMPTY:
+            assert rep.exactness == THEOREM_EXACT and rep.value < 0
+        if rep.emptiness == NONEMPTY:
+            assert rep.exactness == THEOREM_EXACT and rep.value >= 0
+        if rep.exactness == LOWER_BOUND_ONLY:
+            assert rep.emptiness == UNKNOWN
+
+    @pytest.mark.parametrize(
+        "f,args,value", [(expected_dim_V, (2, 3, 2), -8), (expected_dim_V_divisor, (2, 1, 1, 3), -7)]
+    )
+    def test_negative_lower_bound_is_unknown(self, f, args, value):
+        rep = f(*args)
+        assert (rep.value, rep.exactness, rep.emptiness) == (value, LOWER_BOUND_ONLY, UNKNOWN)

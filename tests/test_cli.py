@@ -571,6 +571,15 @@ class TestProcessExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("pbn: error: expected dimension is"), err
 
+    @pytest.mark.parametrize("argv", ["--help", "dim --help", "class --help", "count --help",
+                                      "limits --help", "verify --help", "dim --g 10 --k 1"])
+    def test_help_and_usage_errors_ignore_columns(self, argv, monkeypatch):
+        # argparse sizes its text from COLUMNS unless the formatter's width is fixed.
+        monkeypatch.delenv("COLUMNS", raising=False)
+        plain = self._run("-m", "prymbn.cli", *argv.split())
+        monkeypatch.setenv("COLUMNS", "40")
+        assert self._run("-m", "prymbn.cli", *argv.split()) == plain
+
     def test_usage_error_exits_two(self):
         code, out, err = self._run("-m", "prymbn.cli", "dim", "--g", "10", "--k", "1")
         assert (code, out) == (2, "")

@@ -202,11 +202,12 @@ class TestLaplaceOracle:
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c)
 
     def test_zero_leading_pivot_swaps_rows(self):
-        # Only c_3 = 1 besides c_0: Q_(3,2) = Q_(3,1) = 0, so elimination
-        # must pivot on Q_(3,0) = 1; the Pfaffian is Q_(3,0) Q_(2,1) = -2.
-        lam, c = StrictPartition.of(3, 2, 1), ChernSeries((1, 0, 0, 1, 0, 0, 0))
-        assert q_two(3, 2, c).coeff == 0
-        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == -2
+        # Only c_5 = 1 besides c_0: Q_(5,b) = c_b, so row 0 of the order-6 matrix of
+        # (5, 4, 3, 2, 1, 0) is zero up to Q_(5,0) = 1, and the dividing step must
+        # swap that column in.  The swap's sign flip gives -4; without it, +4.
+        lam, c = StrictPartition.of(5, 4, 3, 2, 1), ChernSeries((1, 0, 0, 0, 0, 1, 0, 0, 0, 0))
+        assert [q_two(5, b, c).coeff for b in (4, 3, 2, 1, 0)] == [0, 0, 0, 0, 1]
+        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == -4
 
     def test_zero_row_gives_zero(self):
         # c_i = 0 for i >= 2 makes every Q_(4,b) vanish: row 0 is zero.
@@ -325,12 +326,13 @@ class TestQTildeTable:
         assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
 
     def test_row_swap_does_not_leak(self):
-        # (3, 2, 1) pivots past Q_(3,2) = Q_(3,1) = 0 (see TestLaplaceOracle);
-        # the partitions after it read the same entries unswapped.
-        c = ChernSeries((1, 0, 0, 1, 0, 0, 0))
-        lams = [StrictPartition.of(*p) for p in ((3, 2, 1), (3, 2), (3, 1), (2, 1), (3, 2, 1))]
+        # (5, 4, 3, 2, 1) swaps a column past Q_(5,4) = ... = Q_(5,1) = 0 (see
+        # TestLaplaceOracle); the partitions after it read the same entries unswapped.
+        c = ChernSeries((1, 0, 0, 0, 0, 1, 0, 0, 0, 0))
+        parts = ((5, 4, 3, 2, 1), (5, 4), (5, 3), (4, 3, 2, 1), (5, 4, 3, 2, 1))
+        lams = [StrictPartition.of(*p) for p in parts]
         got = [q.coeff for q in q_tilde_table(lams, c)]
-        assert got == [laplace_q_tilde(lam, c) for lam in lams] == [-2, 0, 0, -2, -2]
+        assert got == [laplace_q_tilde(lam, c) for lam in lams] == [-4, 0, 0, -4, -4]
 
     @pytest.mark.parametrize("parts,order", [((4, 2), 6), ((6,), 6), ((5, 3, 1), 8)])
     def test_refuses_partition_past_top(self, parts, order):

@@ -27,7 +27,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (what the mutant breaks, file, exact snippet, replacement, test nodes that must fail)
+# (what the mutant breaks, file, exact snippet, replacement, test nodes that must fail).
+# A mutant may change a test oracle in tests/ too.  Each names a node that kills it on
+# every run: a plain test or an explicit @example, never a Hypothesis draw alone.
 MUTANTS = [
     ("the unused-flag refusal of _locus_args is skipped", "src/prymbn/cli.py",
      "if flag not in flags and getattr(args, flag, None) is not None:",
@@ -46,8 +48,8 @@ MUTANTS = [
     ("_pfaffian's row swap keeps the sign", "src/prymbn/lagrangian.py",
      "            sign = -sign\n",
      "",
-     ["tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows",
-      "tests/test_lagrangian.py::TestLaplaceOracle::test_engine_matches_laplace_expansion"]),
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
+      "tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows"]),
     ("_suite never marks a suite vacuous", "src/prymbn/verify.py",
      "vacuous=True if cases == 0 else None",
      "vacuous=None",
@@ -64,6 +66,34 @@ MUTANTS = [
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return INVARIANT_ERROR',
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return USAGE_ERROR',
      ["tests/test_cli.py::TestInvariantViolationExits::test_no_unique_survivor_exits_one"]),
+    ("_report calls a negative lower bound empty", "src/prymbn/bn_numerics.py",
+     "EMPTY if exact and value < 0",
+     "EMPTY if value < 0",
+     ["tests/test_bn_numerics.py::TestReportRule::test_negative_lower_bound_is_unknown",
+      "tests/test_bn_numerics.py::TestReportRule::test_claims_follow_exactness_and_sign"]),
+    ("_report calls a locus non-empty without a proof of existence",
+     "src/prymbn/bn_numerics.py",
+     "NONEMPTY if nonempty and value >= 0",
+     "NONEMPTY if value >= 0",
+     ["tests/test_bn_numerics.py::TestExpectedDimVEta::test_k0_nonnegative_is_unknown",
+      "tests/test_bn_numerics.py::TestExpectedDimV::test_k3_is_lower_bound_only"]),
+    ("eval_identity flips the sign of each pair factor", "src/prymbn/lagrangian.py",
+     "num = math.prod(x - y for x, y in pairs)",
+     "num = math.prod(y - x for x, y in pairs)",
+     ["tests/test_lagrangian.py::TestEvalIdentity::test_examples"]),
+    ("twisted_pointed_class divides by a_i + a_j + 1", "src/prymbn/formulas.py",
+     "math.prod(ai + aj + 2 for aj, ai in pairs)",
+     "math.prod(ai + aj + 1 for aj, ai in pairs)",
+     ["tests/test_formulas.py::TestTwistedPointedClass::test_examples"]),
+    ("the Laplace oracle drops the alternating sign", "tests/test_lagrangian.py",
+     "(-1) ** (i - 1)",
+     "(-1) ** i",
+     ["tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows",
+      "tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
+    ("the naive oracle drops the x+y gap rule", "tests/test_limit_series.py",
+     "if any(y - x < 2 for x, y in zip(entries, entries[1:])):",
+     "if any(y - x < 1 for x, y in zip(entries, entries[1:])):",
+     ["tests/test_limit_series.py::TestEnumerate::test_matches_naive_walk"]),
 ]
 
 
