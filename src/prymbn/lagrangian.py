@@ -9,9 +9,10 @@ division, then divided once by D^(2 pairs): exact, and division-free to length 4
 ``q_tilde_table`` evaluates many partitions over one Chern series: it computes
 the numerators once and each Q_(a,b) once, and ``q_tilde`` is its
 one-partition use.
-Evaluated at c_i = theta'^i/i!, the engine independently reproduces the
-closed-form coefficients in ``formulas``; the product formula ``eval_identity``
-serves as a second, Pfaffian-free oracle.
+Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
+coefficients in ``formulas``; the product formula ``eval_identity`` is the
+Pfaffian-free reference for one partition, the pointed closed form of
+``formulas`` at lambda_i = a_i + 1.
 """
 
 from __future__ import annotations

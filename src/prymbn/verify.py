@@ -3,25 +3,25 @@
 ``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form
 and engine with their citations, and the engine/closed-form ratio.
 ``LIMIT_FLAVORS`` maps each ``pbn limits --flavor`` name to its limit_series
-flavor.  The CLI's command table reads the locus choices, the locus flags of
-dim and class and the flavor choices from these two tables, and the
-staircase suites check each engine against its ratio times its closed form.
-Each suite returns a SuiteResult with the first counterexample on failure,
-marked vacuous when it checked no case.  The suites take their bounds from
-the caller and have no defaults of their own: ``pbn verify`` defaults to
-max_weight 24, max_g 12 and max_r 4.  The engine is evaluated once per
-strict partition: ``engine_classes`` builds one Chern series and one table of
-two-row classes per run, takes one Pfaffian per partition over it, and two
-suites check the result against the product formula ``eval_identity``
-(``engine_oracle``) and the pointed closed form ``twisted_pointed_class``
-(``pointed_equivalence``).
+flavor.  The CLI's command table reads its locus and flavor choices and the
+locus flags from these two tables, and one rule, ``_agreement``, checks each
+class locus's engine against its ratio times its closed form.  Each suite
+returns a SuiteResult with its first counterexample, named by the case's
+parameters (a PrymBNError raised in a case is one), or marked vacuous when
+it checked no case.  The suites take their bounds from the caller: ``pbn
+verify`` defaults to max_weight 24, max_g 12 and max_r 4.  ``engine_classes``
+walks the pointed sequences a and takes lambda = partition_for(a), as ``pbn
+class --locus V_eta_pointed --engine`` does, with one Chern series and one
+table of two-row classes.  ``engine_oracle`` checks it against the product
+formula ``eval_identity``, and ``pointed_equivalence`` against the pointed
+closed form: at lambda_i = a_i + 1 one formula, in two reference versions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import wraps
 
 from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
@@ -80,33 +80,28 @@ class SuiteResult(_Record):
         self._store(name, cases, passed, counterexample, vacuous)
 
 
-def strict_partitions(max_weight: int) -> Iterator[StrictPartition]:
-    """All strict partitions with 1 <= |lambda| <= max_weight."""
+def pointed_sequences(max_weight: int) -> Iterator[VanishingSequence]:
+    """Every pointed vanishing sequence whose rank partition (a_i + 1) has weight 1..max_weight."""
 
-    def rec(remaining: int, max_part: int, prefix: tuple[int, ...]):
-        if prefix:
-            yield StrictPartition(prefix)
-        for p in range(min(remaining, max_part), 0, -1):
-            yield from rec(remaining - p, p - 1, prefix + (p,))
+    def rec(remaining: int, max_part: int, orders: tuple[int, ...]):
+        if orders:
+            yield VanishingSequence(orders)
+        for p in range(min(remaining, max_part), 0, -1):  # p = a_i + 1, the top order first
+            yield from rec(remaining - p, p - 1, (p - 1,) + orders)
 
     yield from rec(max_weight, max_weight, ())
 
 
-def _sequence_for(lam: StrictPartition) -> VanishingSequence:
-    """The pointed vanishing sequence with rank partition lam: entries p - 1, ascending."""
-    return VanishingSequence(tuple(p - 1 for p in reversed(lam.parts)))
-
-
-EngineTable = list[tuple[StrictPartition, theta_ring.ThetaClass]]
+EngineTable = list[tuple[VanishingSequence, StrictPartition, theta_ring.ThetaClass]]
 
 
 def engine_classes(max_weight: int) -> EngineTable:
-    """(lambda, Q-tilde at c_i = theta'^i/i!) for every strict partition up to max_weight.
-
-    One Chern series and one table of two-row classes serve every partition.
-    """
-    lams, c = list(strict_partitions(max_weight)), formulas.chern_series_W(max(max_weight, 0))
-    return list(zip(lams, lagrangian.q_tilde_table(lams, c)))
+    """(a, lambda = partition_for(a), Q-tilde at c_i = theta'^i/i!) per pointed sequence up to
+    max_weight, as ``class --engine`` takes a; one Chern series as far as lambda reads."""
+    seqs = list(pointed_sequences(max_weight))
+    lams = list(map(lagrangian.partition_for, seqs))
+    c = formulas.chern_series_W(max((sum(lam.parts[:2]) for lam in lams), default=0))
+    return list(zip(seqs, lams, lagrangian.q_tilde_table(lams, c)))
 
 
 def _suite(outcomes: Callable[..., Iterator[str | None]]) -> Callable[..., SuiteResult]:
@@ -134,46 +129,51 @@ def _suite(outcomes: Callable[..., Iterator[str | None]]) -> Callable[..., Suite
 @_suite
 def suite_engine_oracle(engines: EngineTable) -> Iterator[str | None]:
     """Pfaffian engine (skew elimination) against the closed product formula."""
-    for lam, engine in engines:
-        oracle = lagrangian.eval_identity(lam)
+    for _, lam, engine in engines:
+        try:
+            oracle = lagrangian.eval_identity(lam)
+        except PrymBNError as exc:
+            yield f"lambda={lam.parts}: {exc}"
+            continue
         ok = engine.coeff == oracle and engine.exponent == lam.weight
         yield None if ok else f"lambda={lam.parts}: engine {engine.coeff}, oracle {oracle}"
+
+
+def _agreement(locus: str, cases: Iterable[tuple], engine: Callable) -> Iterator[str | None]:
+    """engine(*v) == ratio(*v) x closed_form(*v) of ``locus`` (at ratio 1, the closed form
+    itself) per case v; a failure, or a PrymBNError raised, is named by the locus's flags."""
+    entry = LOCI[locus]
+    for v in cases:
+        try:
+            got, closed, ratio = engine(*v), entry.closed_form(*v), entry.ratio(*v)
+            want = closed if ratio == 1 else theta_ring.ThetaClass(
+                ratio * closed.coeff, closed.exponent, closed.generator)
+            failure = None if got == want else f"engine {got} != ratio {ratio} x {closed}"
+        except PrymBNError as exc:
+            failure = exc
+        yield None if failure is None else " ".join(
+            f"{flag}={getattr(x, 'entries', x)}" for flag, x in zip(entry.flags, v)
+        ) + f": {failure}"
 
 
 @_suite
 def suite_pointed_equivalence(engines: EngineTable) -> Iterator[str | None]:
     """Engine class of each vanishing sequence against the pointed closed form."""
-    for lam, engine in engines:
-        a = _sequence_for(lam)
-        ranks = lagrangian.partition_for(a)
-        if ranks != lam:
-            yield f"a={a.entries}: partition_for gives {ranks.parts}, not {lam.parts}"
-            continue
-        closed = formulas.twisted_pointed_class(a)
-        yield None if engine == closed else (
-            f"a={a.entries}: engine {engine}, closed form {closed}"
-        )
-
-
-def _staircase(locus: str, ranks: range) -> Iterator[str | None]:
-    """The engine class of ``locus`` equals its ratio times its closed form, per rank."""
-    entry = LOCI[locus]
-    for r in ranks:
-        engine, closed, ratio = entry.engine(r), entry.closed_form(r), entry.ratio(r)
-        want = theta_ring.ThetaClass(ratio * closed.coeff, closed.exponent, closed.generator)
-        yield None if engine == want else f"r={r}: engine {engine} != ratio {ratio} x {closed}"
+    classes = {a: engine for a, _, engine in engines}
+    return _agreement("V_eta_pointed", ((a,) for a in classes), classes.__getitem__)
 
 
 @_suite
 def suite_staircase_relation(max_r: int) -> Iterator[str | None]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
-    return _staircase("V_eta", range(max_r + 1))
+    return _agreement("V_eta", ((r,) for r in range(max_r + 1)), LOCI["V_eta"].engine)
 
 
 @_suite
 def suite_unramified_reproduction(max_r: int) -> Iterator[str | None]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
-    return _staircase("V_unramified", range(1, max_r + 1))
+    ranks = ((r,) for r in range(1, max_r + 1))
+    return _agreement("V_unramified", ranks, LOCI["V_unramified"].engine)
 
 
 def dimension_zero_genus(k: int, r: int) -> int:

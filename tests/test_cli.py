@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, verify
-from prymbn.errors import IntegralityError, InvariantViolationError, ParameterError
+from prymbn.errors import (
+    GeneratorMismatchError,
+    IntegralityError,
+    InvariantViolationError,
+    ParameterError,
+)
 from prymbn.theta_ring import ThetaClass
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -374,7 +380,8 @@ class TestVerify:
         monkeypatch.setattr(
             lagrangian, "_numerators", lambda c, top: numerators.append(top) or real_num(c, top))
         verify_mod.engine_classes(24)
-        assert sorted(q2) == sorted(pairs(verify_mod.strict_partitions(24)))
+        lams = map(lagrangian.partition_for, verify_mod.pointed_sequences(24))
+        assert sorted(q2) == sorted(pairs(lams))
         assert (len(q2), numerators) == (156, [24])
 
         q2.clear()
@@ -457,6 +464,22 @@ class TestVerify:
         res = verify.suite_degree_table(30)
         assert (res.cases, res.passed) == (3, False)
         assert res.counterexample == "ramified_twisted g=2 k=2: 25 != 24"
+
+    def test_walk_gives_each_strict_partition_once(self):
+        # A strict partition of weight 1..w is a set of distinct parts from
+        # 1..w, which itertools.combinations lists in descending order.
+        for w in range(-1, 17):
+            want = [parts for n in range(1, w + 1) for parts in combinations(range(w, 0, -1), n)
+                    if sum(parts) <= w]
+            got = [lagrangian.partition_for(a).parts for a in verify.pointed_sequences(w)]
+            assert sorted(got) == sorted(want), w
+
+    def test_engine_table_is_the_pointed_engine(self):
+        table = verify.engine_classes(12)
+        assert len(table) == 69
+        for a, lam, engine in table:
+            assert lam == lagrangian.partition_for(a)
+            assert engine == verify.LOCI["V_eta_pointed"].engine(a)
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_pointed_equivalence_vacuous_below_one(self, bound):
@@ -662,7 +685,17 @@ class TestInvariantViolationExits:
             (formulas, "count_points", _raising(IntegralityError), "count_integrality",
              "k=1 r=1 g=3: injected"),
             (lagrangian, "partition_for", lambda a: lagrangian.StrictPartition.of(9),
-             "pointed_equivalence", "a=(1,): partition_for gives (9,), not (2,)"),
+             "pointed_equivalence",
+             "a=(1,): engine 1/362880 * theta'^9 != ratio 1 x 1/2 * theta'^2"),
+            # a library function raising inside a case names that case, not exit 2
+            (formulas, "unramified_class", _raising(GeneratorMismatchError),
+             "unramified_reproduction", "r=1: injected"),
+            (formulas, "twisted_pointed_class", _raising(GeneratorMismatchError),
+             "pointed_equivalence", "a=(1,): injected"),
+            (lagrangian, "lagrangian_class_twisted", _raising(GeneratorMismatchError),
+             "staircase_relation", "r=0: injected"),
+            (lagrangian, "eval_identity", _raising(GeneratorMismatchError), "engine_oracle",
+             "lambda=(2,): injected"),
         ],
     )
     def test_failed_suite_exits_one(self, monkeypatch, module, name, fake, suite,

@@ -122,7 +122,7 @@ class TestTwistedPointedClass:
 
     def test_coefficient_is_exact_product(self):
         # every sequence the pointed_equivalence suite of verify checks by default
-        sequences = list(map(verify._sequence_for, verify.strict_partitions(24)))
+        sequences = list(verify.pointed_sequences(24))
         assert len(sequences) == 761
         for a in sequences:
             cls = twisted_pointed_class(a)

@@ -162,7 +162,7 @@ class TestQTilde:
         assert (got.coeff, got.exponent) == (Fraction(1, 360), 6)
 
     def test_exponent_is_weight(self):
-        for lam in verify.strict_partitions(12):
+        for lam in map(partition_for, verify.pointed_sequences(12)):
             got = q_tilde(lam, chern_series_W(lam.weight))
             assert got.exponent == lam.weight
 
@@ -295,7 +295,7 @@ class TestQTildeTable:
     # in one partition's Pfaffian must not reach the next.
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
-        lams = list(verify.strict_partitions(16))
+        lams = list(map(partition_for, verify.pointed_sequences(16)))
         for lam, got in zip(lams, q_tilde_table(lams, chern_series_W(16)), strict=True):
             c = chern_series_W(lam.weight)
             assert got == q_tilde(lam, c)
@@ -364,7 +364,7 @@ class TestEvalIdentity:
         assert eval_identity(StrictPartition.of(n)) == Fraction(1, math.factorial(n))
 
     def test_matches_literal_product_to_weight_30(self):
-        for lam in verify.strict_partitions(30):
+        for lam in map(partition_for, verify.pointed_sequences(30)):
             assert eval_identity(lam) == literal_eval_identity(lam)
 
     def test_matches_literal_product_at_staircase_40(self):
@@ -372,7 +372,7 @@ class TestEvalIdentity:
         assert eval_identity(lam) == literal_eval_identity(lam)
 
     def test_agrees_with_engine(self):
-        for lam in verify.strict_partitions(18):
+        for lam in map(partition_for, verify.pointed_sequences(18)):
             engine = q_tilde(lam, chern_series_W(lam.weight))
             assert engine.coeff == eval_identity(lam)
 
@@ -426,7 +426,7 @@ class TestPointedClass:
         assert (got.coeff, got.exponent) == (coeff, exponent)
 
     def test_matches_closed_form(self):
-        for a in map(verify._sequence_for, verify.strict_partitions(20)):
+        for a in verify.pointed_sequences(20):
             assert lagrangian_class_pointed(a) == twisted_pointed_class(a)
 
 
