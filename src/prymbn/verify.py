@@ -3,18 +3,20 @@
 ``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form
 and engine with their citations, and the engine/closed-form ratio.
 ``LIMIT_FLAVORS`` maps each ``pbn limits --flavor`` name to its limit_series
-flavor.  The CLI's command table reads its locus and flavor choices and the
-locus flags from these two tables, and one rule, ``_agreement``, checks each
-class locus's engine against its ratio times its closed form.  Each suite
-returns a SuiteResult with its first counterexample, named by the case's
-parameters (a PrymBNError raised in a case is one), or marked vacuous when
-it checked no case.  The suites take their bounds from the caller: ``pbn
-verify`` defaults to max_weight 24, max_g 12 and max_r 4.  ``engine_classes``
-walks the pointed sequences a and takes lambda = partition_for(a), as ``pbn
-class --locus V_eta_pointed --engine`` does, with one Chern series and one
-table of two-row classes.  ``engine_oracle`` checks it against the product
-formula ``eval_identity``, and ``pointed_equivalence`` against the pointed
-closed form: at lambda_i = a_i + 1 one formula, in two reference versions.
+flavor.  The CLI's command table reads its choices and locus flags from them.
+Every library function is called through its module, so a wrapper put there
+(a monkeypatch, a tracer) sees the call.
+
+Every suite runs its cases by one rule, ``_suite``: a PrymBNError raised in
+a case's check is that case's counterexample, which is labelled from the
+check's arguments (``r=0``, ``a=(1,)``).  The walks and the engine table are
+built outside the checks, so an error there ends ``pbn verify`` with no report
+(exit 2; 1 for an invariant violation).
+``engine_classes`` walks the pointed sequences a and takes lambda =
+partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does.
+``engine_oracle`` checks it against the product formula ``eval_identity``,
+and the class rule ``_agreement`` against the pointed closed form: at
+lambda_i = a_i + 1 one formula, in two reference versions.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import wraps
 
 from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
-from .bn_numerics import VanishingSequence, expected_dim_V
+from .bn_numerics import VanishingSequence
 from .errors import PrymBNError, _Record
 from .lagrangian import StrictPartition
-from .limit_series import LimitProblem, solve_unique, w_locus_expected_dim
 
 
 Locus = namedtuple("Locus", "flags dim closed_form citation engine engine_citation ratio",
@@ -41,9 +42,7 @@ and the engine/closed-form coefficient ratio; a fact the locus lacks is None."""
 _P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
 _Q_TILDE = "Q-tilde Pfaffian evaluation at c_i = theta'^i/i!"
 
-# Each entry looks its library function up on the module when called, so a
-# wrapper put there (a monkeypatch, a tracer) sees the call.  In CLI order:
-# dim takes the loci with a report, class those with a class.
+# In CLI order: dim takes the loci with a report, class those with a class.
 LOCI = {
     "V": Locus(("r",), lambda *v: bn_numerics.expected_dim_V(*v)),
     "V_unramified": Locus(
@@ -104,76 +103,78 @@ def engine_classes(max_weight: int) -> EngineTable:
     return list(zip(seqs, lams, lagrangian.q_tilde_table(lams, c)))
 
 
-def _suite(outcomes: Callable[..., Iterator[str | None]]) -> Callable[..., SuiteResult]:
-    """Make a suite from a generator of case outcomes, named for it without ``suite_``.
+def _suite(label: str,
+           check: Callable[..., str | None]) -> Callable[..., Callable[..., SuiteResult]]:
+    """Make a suite, named for its walk without ``suite_``, by the one case rule.
 
-    The generator yields None for a case that holds and a counterexample
-    string for one that fails.  The suite counts the cases and stops at the
-    first counterexample, counting the failing case too; a suite that checked
-    no case is marked vacuous.
+    The walk yields each case's arguments; ``check(*args)`` returns None when
+    the case holds and else a failure, and a PrymBNError it raises is that
+    failure.  The suite counts the cases and stops at the first failure,
+    counting it too, labelled ``label.format(*args)``; a suite that checked
+    no case is marked vacuous.  The walk, and the engine table passed to it,
+    run outside the rule: an error there leaves ``pbn verify`` without a report.
     """
-    name = outcomes.__name__.removeprefix("suite_")
 
-    @wraps(outcomes)
-    def suite(*args, **kwargs) -> SuiteResult:
-        cases = 0
-        for counterexample in outcomes(*args, **kwargs):
-            cases += 1
-            if counterexample is not None:
-                return SuiteResult(name, cases, False, counterexample)
-        return SuiteResult(name, cases, True, vacuous=True if cases == 0 else None)
+    def make(walk: Callable[..., Iterable[tuple]]) -> Callable[..., SuiteResult]:
+        name = walk.__name__.removeprefix("suite_")
 
-    return suite
+        @wraps(walk)
+        def suite(*bounds, **kwargs) -> SuiteResult:
+            cases = 0
+            for args in walk(*bounds, **kwargs):
+                cases += 1
+                try:
+                    failure = check(*args)
+                except PrymBNError as exc:
+                    failure = exc
+                if failure is not None:
+                    return SuiteResult(name, cases, False, f"{label.format(*args)}: {failure}")
+            return SuiteResult(name, cases, True, vacuous=True if cases == 0 else None)
+
+        return suite
+
+    return make
 
 
-@_suite
-def suite_engine_oracle(engines: EngineTable) -> Iterator[str | None]:
+def _matches_oracle(lam: StrictPartition, engine: theta_ring.ThetaClass) -> str | None:
+    oracle = lagrangian.eval_identity(lam)
+    ok = engine.coeff == oracle and engine.exponent == lam.weight
+    return None if ok else f"engine {engine.coeff}, oracle {oracle}"
+
+
+@_suite("lambda={0.parts}", _matches_oracle)
+def suite_engine_oracle(engines: EngineTable) -> Iterator[tuple]:
     """Pfaffian engine (skew elimination) against the closed product formula."""
-    for _, lam, engine in engines:
-        try:
-            oracle = lagrangian.eval_identity(lam)
-        except PrymBNError as exc:
-            yield f"lambda={lam.parts}: {exc}"
-            continue
-        ok = engine.coeff == oracle and engine.exponent == lam.weight
-        yield None if ok else f"lambda={lam.parts}: engine {engine.coeff}, oracle {oracle}"
+    return ((lam, engine) for _, lam, engine in engines)
 
 
-def _agreement(locus: str, cases: Iterable[tuple], engine: Callable) -> Iterator[str | None]:
-    """engine(*v) == ratio(*v) x closed_form(*v) of ``locus`` (at ratio 1, the closed form
-    itself) per case v; a failure, or a PrymBNError raised, is named by the locus's flags."""
+def _agreement(locus: str, v, engine: Callable) -> str | None:
+    """The class rule: engine(v) == ratio(v) x closed_form(v), the two read from
+    ``LOCI[locus]`` (at ratio 1, the closed form itself)."""
     entry = LOCI[locus]
-    for v in cases:
-        try:
-            got, closed, ratio = engine(*v), entry.closed_form(*v), entry.ratio(*v)
-            want = closed if ratio == 1 else theta_ring.ThetaClass(
-                ratio * closed.coeff, closed.exponent, closed.generator)
-            failure = None if got == want else f"engine {got} != ratio {ratio} x {closed}"
-        except PrymBNError as exc:
-            failure = exc
-        yield None if failure is None else " ".join(
-            f"{flag}={getattr(x, 'entries', x)}" for flag, x in zip(entry.flags, v)
-        ) + f": {failure}"
+    got, closed, ratio = engine(v), entry.closed_form(v), entry.ratio(v)
+    want = closed if ratio == 1 else theta_ring.ThetaClass(
+        ratio * closed.coeff, closed.exponent, closed.generator)
+    return None if got == want else f"engine {got} != ratio {ratio} x {closed}"
 
 
-@_suite
-def suite_pointed_equivalence(engines: EngineTable) -> Iterator[str | None]:
+@_suite("a={1.entries}", _agreement)
+def suite_pointed_equivalence(engines: EngineTable) -> Iterator[tuple]:
     """Engine class of each vanishing sequence against the pointed closed form."""
     classes = {a: engine for a, _, engine in engines}
-    return _agreement("V_eta_pointed", ((a,) for a in classes), classes.__getitem__)
+    return (("V_eta_pointed", a, classes.__getitem__) for a in classes)
 
 
-@_suite
-def suite_staircase_relation(max_r: int) -> Iterator[str | None]:
+@_suite("r={1}", _agreement)
+def suite_staircase_relation(max_r: int) -> Iterator[tuple]:
     """Q-tilde at the staircase equals 2^(r+1) times the unpointed coefficient."""
-    return _agreement("V_eta", ((r,) for r in range(max_r + 1)), LOCI["V_eta"].engine)
+    return (("V_eta", r, LOCI["V_eta"].engine) for r in range(max_r + 1))
 
 
-@_suite
-def suite_unramified_reproduction(max_r: int) -> Iterator[str | None]:
+@_suite("r={1}", _agreement)
+def suite_unramified_reproduction(max_r: int) -> Iterator[tuple]:
     """P-tilde at the staircase, rewritten in xi, equals the P+/P- class."""
-    ranks = ((r,) for r in range(1, max_r + 1))
-    return _agreement("V_unramified", ranks, LOCI["V_unramified"].engine)
+    return (("V_unramified", r, LOCI["V_unramified"].engine) for r in range(1, max_r + 1))
 
 
 def dimension_zero_genus(k: int, r: int) -> int:
@@ -181,66 +182,63 @@ def dimension_zero_genus(k: int, r: int) -> int:
     return (r + 1) * (r + 2) // 2 + 1 - k
 
 
-@_suite
-def suite_count_integrality(max_r: int) -> Iterator[str | None]:
+def _positive_count(k: int, r: int, g: int) -> str | None:
+    space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, g, k)
+    n = formulas.count_points(formulas.twisted_class(r), space)
+    return None if n > 0 else f"count {n}"
+
+
+@_suite("k={} r={} g={}", _positive_count)
+def suite_count_integrality(max_r: int) -> Iterator[tuple]:
     """Counts at the dimension-zero genus are positive integers (calibrated k)."""
     for k in (k for flavor, k in _CALIBRATED if flavor == theta_ring.RAMIFIED_TWISTED):
         for r in range(max_r + 1):
             g = dimension_zero_genus(k, r)
-            if g < 2:
-                continue  # below the genus-2 domain of the torsor table
-            space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, g, k)
-            try:
-                n = formulas.count_points(formulas.twisted_class(r), space)
-            except PrymBNError as exc:
-                yield f"k={k} r={r} g={g}: {exc}"
-                continue
-            yield None if n > 0 else f"k={k} r={r} g={g}: count {n}"
+            if g >= 2:  # the genus-2 domain of the torsor table
+                yield k, r, g
 
 
-@_suite
-def suite_limit_solver(max_g: int, max_r: int) -> Iterator[str | None]:
+def _solves(p: limit_series.LimitProblem) -> None:
+    limit_series.solve_unique(p)  # raises unless one survivor, the closed form, is left
+
+
+@_suite("{0.flavor} g={0.g} r={0.r}", _solves)
+def suite_limit_solver(max_g: int, max_r: int) -> Iterator[tuple]:
     """solve_unique proves a unique survivor wherever s >= 0; it raises when the
     survivor differs from the closed form, and the suite reports that error."""
-    for flavor in LIMIT_FLAVORS.values():
-        for g in range(2, max_g + 1):
-            for r in range(max_r + 1):
-                p = LimitProblem(flavor, g, r)
-                if p.s < 0:
-                    continue
-                try:
-                    solve_unique(p)
-                except PrymBNError as exc:
-                    yield f"{flavor} g={g} r={r}: {exc}"
-                else:
-                    yield None
+    problems = (limit_series.LimitProblem(flavor, g, r) for flavor in LIMIT_FLAVORS.values()
+                for g in range(2, max_g + 1) for r in range(max_r + 1))
+    return ((p,) for p in problems if p.s >= 0)
 
 
-@_suite
-def suite_w_consistency(max_g: int, max_r: int) -> Iterator[str | None]:
-    """Pointed W-locus dimension matches the unramified expected dimension."""
-    for g in range(2, max_g + 1):
-        for r in range(max_r + 1):
-            a = VanishingSequence(tuple(2 * i for i in range(r + 1)))
-            if a[-1] > g + r - 1:
-                continue  # vanishing orders out of range for the degree
-            got = w_locus_expected_dim(g - 1, g + r - 1, a)
-            want = expected_dim_V(g, 0, r).value
-            yield None if got == want else f"g={g} r={r}: {got} != {want}"
+def _w_matches_v(g: int, r: int) -> str | None:
+    a = VanishingSequence(tuple(2 * i for i in range(r + 1)))
+    got = limit_series.w_locus_expected_dim(g - 1, g + r - 1, a)
+    want = bn_numerics.expected_dim_V(g, 0, r).value
+    return None if got == want else f"{got} != {want}"
 
 
-@_suite
-def suite_degree_table(max_g: int) -> Iterator[str | None]:
+@_suite("g={} r={}", _w_matches_v)
+def suite_w_consistency(max_g: int, max_r: int) -> Iterator[tuple]:
+    """Pointed W-locus dimension matches the unramified expected dimension, at each
+    r <= g - 1: past it the vanishing order a_r = 2r exceeds the degree g + r - 1."""
+    return ((g, r) for g in range(2, max_g + 1) for r in range(min(max_r, g - 1) + 1))
+
+
+def _riemann_roch(flavor: str, g: int, k: int) -> str | None:
+    space = theta_ring.make_space(flavor, g, k)
+    top = theta_ring.degree(theta_ring.ThetaClass(1, space.dim, space.generator), space)
+    chi = 1 if flavor == theta_ring.UNRAMIFIED_PM else 2**g
+    want = math.factorial(space.dim) * chi
+    return None if top == want else f"{top} != {want}"
+
+
+@_suite("{} g={} k={}", _riemann_roch)
+def suite_degree_table(max_g: int) -> Iterator[tuple]:
     """Top self-intersections match Riemann-Roch on the torsor: theta^dim = dim! chi,
     chi = 2^g on the twisted torsors (polarization type (1,...,1,2,...,2), g twos;
     Birkenhake-Lange, Complex Abelian Varieties, ch. 12) and chi = 1 on P+/P-."""
-    for g in range(2, max_g + 1):
-        for flavor, k in _CALIBRATED:
-            space = theta_ring.make_space(flavor, g, k)
-            top = theta_ring.degree(theta_ring.ThetaClass(1, space.dim, space.generator), space)
-            chi = 1 if flavor == theta_ring.UNRAMIFIED_PM else 2**g
-            want = math.factorial(space.dim) * chi
-            yield None if top == want else f"{flavor} g={g} k={k}: {top} != {want}"
+    return ((flavor, g, k) for g in range(2, max_g + 1) for flavor, k in _CALIBRATED)
 
 
 def run_all(max_weight: int, max_g: int, max_r: int) -> list[SuiteResult]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, verify
+from prymbn import bn_numerics, cli, formulas, lagrangian, limit_series, theta_ring, verify
 from prymbn.errors import (
     GeneratorMismatchError,
     IntegralityError,
@@ -409,6 +410,19 @@ class TestVerify:
         summary = lambda results: [(s.name, s.cases, s.passed) for s in results]  # noqa: E731
         assert summary(v.run_all(w, g, r)) == summary(standalone)
 
+    @pytest.mark.parametrize("bounds,md5", [
+        ((24, 12, 4), "f3d0ee5b30b5569a9fad3040350e58ef"),
+        ((12, 8, 3), "6a5e3b7004840a77e4cd03c5cded7d9f"),
+        ((0, 0, 0), "606a0d8e1d7edbde6d77cb70c379ed69"),
+        ((1, 1, 0), "53344138f002f8367a52a986e969ec62"),
+        ((30, 14, 5), "93c74a7afa36523d9fe063ea956b331d"),
+    ])
+    def test_report_bytes_are_pinned(self, bounds, md5):
+        # The three small bounds take the vacuous and counting paths of _suite.
+        w, g, r = map(str, bounds)
+        code, out, _ = run_cli("verify", "--max-weight", w, "--max-g", g, "--max-r", r)
+        assert (code, hashlib.md5(out.encode()).hexdigest()) == (0, md5)
+
     def test_vacuous_suites_are_marked(self):
         rec = run_json("verify", "--max-weight", "1", "--max-g", "1", "--max-r", "0")
         assert rec["result"]["all_passed"] is True
@@ -674,39 +688,49 @@ class TestInvariantViolationExits:
             "ramified_x_plus_y g=5 r=1: survivor (4, 6) differs from closed form (6, 8)")
 
     @pytest.mark.parametrize(
-        "module,name,fake,suite,counterexample",
+        "module,name,fake,failed",
         [
-            (verify, "solve_unique", _raising(InvariantViolationError), "limit_solver",
-             "unramified_delta1 g=2 r=0: injected"),
+            # verify calls solve_unique through its module, so the fault is seen there
+            (limit_series, "solve_unique", _raising(InvariantViolationError),
+             [("limit_solver", "unramified_delta1 g=2 r=0: injected")]),
             # solve_unique's own closed-form check is the suite's only comparison
-            (limit_series, "_centered", _shifted_by_two(limit_series._centered), "limit_solver",
-             "unramified_delta1 g=2 r=0: unramified_delta1 g=2 r=0: survivor (1,) differs from"
-             " closed form (3,)"),
-            (formulas, "count_points", _raising(IntegralityError), "count_integrality",
-             "k=1 r=1 g=3: injected"),
+            (limit_series, "_centered", _shifted_by_two(limit_series._centered),
+             [("limit_solver", "unramified_delta1 g=2 r=0: unramified_delta1 g=2 r=0: survivor"
+               " (1,) differs from closed form (3,)")]),
+            (formulas, "count_points", _raising(IntegralityError),
+             [("count_integrality", "k=1 r=1 g=3: injected")]),
             (lagrangian, "partition_for", lambda a: lagrangian.StrictPartition.of(9),
-             "pointed_equivalence",
-             "a=(1,): engine 1/362880 * theta'^9 != ratio 1 x 1/2 * theta'^2"),
-            # a library function raising inside a case names that case, not exit 2
+             [("pointed_equivalence",
+               "a=(1,): engine 1/362880 * theta'^9 != ratio 1 x 1/2 * theta'^2")]),
+            # a library function raising inside a case names that case, not exit 2 or 0
             (formulas, "unramified_class", _raising(GeneratorMismatchError),
-             "unramified_reproduction", "r=1: injected"),
+             [("unramified_reproduction", "r=1: injected")]),
             (formulas, "twisted_pointed_class", _raising(GeneratorMismatchError),
-             "pointed_equivalence", "a=(1,): injected"),
+             [("pointed_equivalence", "a=(1,): injected")]),
             (lagrangian, "lagrangian_class_twisted", _raising(GeneratorMismatchError),
-             "staircase_relation", "r=0: injected"),
-            (lagrangian, "eval_identity", _raising(GeneratorMismatchError), "engine_oracle",
-             "lambda=(2,): injected"),
+             [("staircase_relation", "r=0: injected")]),
+            (lagrangian, "eval_identity", _raising(GeneratorMismatchError),
+             [("engine_oracle", "lambda=(2,): injected")]),
+            (theta_ring, "make_space", _raising(GeneratorMismatchError),
+             [("count_integrality", "k=1 r=1 g=3: injected"),
+              ("degree_table", "unramified_pm g=2 k=0: injected")]),
+            (theta_ring, "degree", _raising(GeneratorMismatchError),
+             [("count_integrality", "k=1 r=1 g=3: injected"),
+              ("degree_table", "unramified_pm g=2 k=0: injected")]),
+            (limit_series, "w_locus_expected_dim", _raising(GeneratorMismatchError),
+             [("w_consistency", "g=2 r=0: injected")]),
+            (bn_numerics, "expected_dim_V", _raising(GeneratorMismatchError),
+             [("w_consistency", "g=2 r=0: injected")]),
         ],
     )
-    def test_failed_suite_exits_one(self, monkeypatch, module, name, fake, suite,
-                                    counterexample):
+    def test_failed_suite_exits_one(self, monkeypatch, module, name, fake, failed):
         monkeypatch.setattr(module, name, fake)
         code, out, err = run_cli("verify", "--max-weight", "2", "--max-g", "2", "--max-r", "1")
         assert (code, err) == (1, "")
         rec = json.loads(out)
         assert rec["result"]["all_passed"] is False
-        failed = [s for s in rec["result"]["suites"] if not s["passed"]]
-        assert [(s["name"], s["counterexample"]) for s in failed] == [(suite, counterexample)]
+        failing = [s for s in rec["result"]["suites"] if not s["passed"]]
+        assert [(s["name"], s["counterexample"]) for s in failing] == failed
 
 
 class TestFormats:
@@ -908,7 +932,11 @@ def _json_keys(out):
 
 def _table_keys(out, fmt):
     if fmt == "csv":
-        header, row = csv.reader(io.StringIO(out))
+        limit = csv.field_size_limit(max(len(out), 131072))  # a candidate list may be longer
+        try:
+            header, row = csv.reader(io.StringIO(out))
+        finally:
+            csv.field_size_limit(limit)
         return dict(zip(header, row))
     lines = out.splitlines()
     assert lines[:2] == ["| key | value |", "| --- | --- |"]
@@ -927,6 +955,8 @@ class TestContract:
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_argvs())
+    # a csv cell of 148,996 characters, past the csv module's default field limit
+    @example(["limits", "--flavor", "ramified", "--show-candidates", "--g", "16", "--r", "5"])
     def test_exit_zero_or_two_and_formats_agree(self, argv):
         with unlimited_int_digits():
             code, out, err = _run_any(*argv)

@@ -86,16 +86,20 @@ MUTANTS = [
      "math.prod(ai + aj + 1 for aj, ai in pairs)",
      ["tests/test_formulas.py::TestTwistedPointedClass::test_examples"]),
     ("the class rule ignores the locus's ratio", "src/prymbn/verify.py",
-     "entry.ratio(*v)",
+     "entry.ratio(v)",
      "1",
      ["tests/test_cli.py::TestVerify::test_run_all_evaluates_one_q_tilde_per_partition"]),
     ("engine_classes sizes its Chern series from max_weight", "src/prymbn/verify.py",
      "formulas.chern_series_W(max((sum(lam.parts[:2]) for lam in lams), default=0))",
      "formulas.chern_series_W(max(max_weight, 0))",
      ["tests/test_cli.py::TestInvariantViolationExits::test_failed_suite_exits_one"]),
-    ("the class rule catches only an invariant violation", "src/prymbn/verify.py",
-     "        except PrymBNError as exc:\n            failure = exc",
-     "        except limit_series.InvariantViolationError as exc:\n            failure = exc",
+    ("the case rule catches only an invariant violation", "src/prymbn/verify.py",
+     "except PrymBNError as exc:",
+     "except limit_series.InvariantViolationError as exc:",
+     ["tests/test_cli.py::TestInvariantViolationExits::test_failed_suite_exits_one"]),
+    ("a counterexample drops its case label", "src/prymbn/verify.py",
+     'f"{label.format(*args)}: {failure}"',
+     "str(failure)",
      ["tests/test_cli.py::TestInvariantViolationExits::test_failed_suite_exits_one"]),
     ("the Laplace oracle drops the alternating sign", "tests/test_lagrangian.py",
      "(-1) ** (i - 1)",
