@@ -141,8 +141,8 @@ def _flatten_record(record: dict[str, object]) -> dict[str, str]:
 
     def walk(value: object, key: str) -> None:
         if isinstance(value, dict):
-            for k in sorted(value):
-                walk(value[k], f"{key}.{k}" if key else k)
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k)
         elif isinstance(value, (list, tuple)):
             flat[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
         else:

@@ -7,8 +7,8 @@ rational Chern data.  A longer strict partition gives the Pfaffian of its skew
 matrix of those integers, by skew elimination whose last four rows need no
 division, then divided once by D^(2 pairs): exact, and division-free to length 4.
 ``q_tilde_table`` evaluates many partitions over one Chern series: it computes
-the numerators once and each Q_(a,b) once, and ``q_tilde`` is its
-one-partition use.
+the numerators once and memoizes the two-row rule once per call, so each
+Q_(a,b) is computed once; ``q_tilde`` is its one-partition use.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import cache
 
 from .bn_numerics import VanishingSequence
 from .errors import ParameterError, _at_least, _integers, _Record
@@ -77,29 +78,16 @@ def _q2_coeff(a: int, b: int, n: list[int]) -> int:
     return total
 
 
-class _TwoRowTable(dict):
-    """(a, b) -> the int Q_(a,b) D^2, each computed on first use over one (n, D^2)."""
-
-    def __init__(self, c: ChernSeries, top: int) -> None:
-        super().__init__()
-        self.n, self.d2 = _numerators(c, top)
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        q = self[key] = _q2_coeff(*key, self.n)
-        return q
-
-
 def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}.
 
-    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators),
-    as one entry of a two-row table.
+    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators).
     """
     a, b = _integers("a and b", a, b)
     if not a > b >= 0:
         raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
-    table = _TwoRowTable(c, a + b)
-    return ThetaClass(Fraction(table[a, b], table.d2), a + b, THETA_PRIME)
+    n, d2 = _numerators(c, a + b)
+    return ThetaClass(Fraction(_q2_coeff(a, b, n), d2), a + b, THETA_PRIME)
 
 
 def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
@@ -144,20 +132,21 @@ def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
 
 
 def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
-    """Q-tilde of each partition in lams, over one table of two-row classes.
+    """Q-tilde of each partition in lams, over one Chern series.
 
-    The table reaches order max lambda_1 + lambda_2 over lams (_numerators refuses a
-    shorter Chern series); each int Q_(a,b) D^2 is computed once, on first use.  Each
-    partition gets a fresh matrix (the Pfaffian rewrites it) and one division by D^(2 pairs).
+    The numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a
+    shorter series); the call memoizes the two-row rule once: each int Q_(a,b) D^2 on first use.
+    Each partition gets a fresh matrix (the Pfaffian rewrites it) and one division by D^(2 pairs).
     """
     lams = list(lams)
-    table = _TwoRowTable(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
+    n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
+    q2 = cache(lambda a, b: _q2_coeff(a, b, n))
     classes = []
     for lam in lams:
         parts = lam.parts + (0,) * (lam.length % 2)
-        m = [[None] * (i + 1) + [table[a, b] for b in parts[i + 1 :]]
+        m = [[None] * (i + 1) + [q2(a, b) for b in parts[i + 1 :]]
              for i, a in enumerate(parts)]
-        pf = Fraction(_pfaffian(m), table.d2 ** (len(parts) // 2))
+        pf = Fraction(_pfaffian(m), d2 ** (len(parts) // 2))
         classes.append(ThetaClass(pf, lam.weight, THETA_PRIME))
     return classes
 

@@ -63,7 +63,8 @@ def complementary_vanishing(d: int, a: VanishingSequence) -> VanishingSequence:
 def _centered(p: LimitProblem) -> VanishingSequence:
     """The orders (h-r, h-r+2, ..., h+r) of p, centred on h = half its degree."""
     if p.s < 0:
-        raise ParameterError(f"no solution: s = {p.s} < 0")
+        raise ParameterError(
+            f"no solution: s = {p.s} < 0, got flavor={p.flavor}, g={p.g}, r={p.r}")
     return VanishingSequence(tuple(range(p.degree // 2 - p.r, p.degree // 2 + p.r + 1, 2)))
 
 

@@ -127,9 +127,8 @@ def degree(c: ThetaClass, s: PrymSpace) -> Fraction:
             f"class has exponent {c.exponent}, space has dimension {s.dim}"
         )
     if s.theta_top is None:
-        raise UnsupportedSpaceError(
-            "top self-intersection is not available on the unramified twisted torsor"
-        )
+        raise UnsupportedSpaceError("top self-intersection is not available on the "
+                                    f"unramified twisted torsor, got g={s.g}, k={s.k}")
     return c.coeff * s.theta_top
 
 

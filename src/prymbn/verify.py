@@ -119,9 +119,9 @@ def _suite(label: str,
         name = walk.__name__.removeprefix("suite_")
 
         @wraps(walk)
-        def suite(*bounds, **kwargs) -> SuiteResult:
+        def suite(*bounds) -> SuiteResult:
             cases = 0
-            for args in walk(*bounds, **kwargs):
+            for args in walk(*bounds):
                 cases += 1
                 try:
                     failure = check(*args)

@@ -199,6 +199,7 @@ class TestCount:
         [
             # dimension 0, but the k = 0 torsor has no calibrated top degree
             (4, 0, 1, "top self-intersection is not available on the unramified twisted torsor"),
+            (4, 0, 1, "unramified twisted torsor, got g=4, k=0"),
             (6, 0, 2, "expected dimension is -1, not 0; no finite count at g=6, k=0, r=2"),
             (4, 3, 1, "twisted loci are supported for k in {0,1,2}, got k=3"),
         ],
@@ -576,6 +577,10 @@ class TestRefusalsNameTheValue:
              "entries=()"),
             (lambda: bn_numerics.VanishingSequence((-1, 2)),
              "vanishing orders must be non-negative", "entries=(-1, 2)"),
+            (lambda: limit_series.prym_limit_vanishing(2, 2), "no solution: s = -2 < 0",
+             "flavor=unramified_delta1, g=2, r=2"),
+            (lambda: limit_series.prym_limit_vanishing_ramified(1, 2),
+             "no solution: s = -2 < 0", "flavor=ramified_x_plus_y, g=1, r=2"),
         ],
     )
     def test_library_refusal_names_the_value(self, call, text, named):

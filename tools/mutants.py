@@ -7,9 +7,11 @@ Run from anywhere, with pytest and hypothesis installed::
 For each entry of ``MUTANTS`` the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a fresh temporary directory, replaces the one place
 where the snippet occurs in the file by its replacement, and runs the named
-test nodes there with ``pytest -x -q``.  ``pyproject.toml`` puts ``src`` on
-pytest's ``pythonpath``, so the copy's code is the code under test.  Before
-the mutants, the named nodes run once on an unchanged copy and must pass.
+test nodes there with ``pytest -x -q --hypothesis-seed=0``.  ``pyproject.toml``
+puts ``src`` on pytest's ``pythonpath``, so the copy's code is the code under
+test.  Before the mutants, the named nodes run once on an unchanged copy and
+must pass.  The fixed seed gives every Hypothesis test the same draws on the
+clean copy and on each mutant, so two runs print the same lines.
 
 The gate exits 1 if a mutant survives (its tests pass), if a snippet matches
 no place or more than one place, or if pytest ends otherwise than with
@@ -77,6 +79,10 @@ MUTANTS = [
      "NONEMPTY if value >= 0",
      ["tests/test_bn_numerics.py::TestExpectedDimVEta::test_k0_nonnegative_is_unknown",
       "tests/test_bn_numerics.py::TestExpectedDimV::test_k3_is_lower_bound_only"]),
+    ("a table recomputes each Q_(a,b) on every use", "src/prymbn/lagrangian.py",
+     "q2 = cache(lambda a, b: _q2_coeff(a, b, n))",
+     "q2 = lambda a, b: _q2_coeff(a, b, n)",
+     ["tests/test_cli.py::TestVerify::test_run_all_computes_each_two_row_class_once_per_table"]),
     ("eval_identity flips the sign of each pair factor", "src/prymbn/lagrangian.py",
      "num = math.prod(x - y for x, y in pairs)",
      "num = math.prod(y - x for x, y in pairs)",
@@ -124,7 +130,8 @@ def _pytest(where: Path, nodes: list[str]) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *nodes],
         cwd=where, env=env, capture_output=True, text=True)
 
 
