@@ -4,11 +4,10 @@ The two-row classes Q_(a,b) are integer sums over one common denominator:
 with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
-matrix of those integers, by skew elimination whose last four rows need no
-division, then divided once by D^(2 pairs): exact, and division-free to length 4.
-``q_tilde_table`` evaluates many partitions over one Chern series: it computes
-the numerators once and memoizes the two-row rule once per call, so each
-Q_(a,b) is computed once; ``q_tilde`` is its one-partition use.
+matrix of those integers, divided once by D^(2 pairs).  ``q_tilde`` takes it by
+skew elimination, division-free to length 4.  ``q_tilde_table`` evaluates many
+partitions over one Chern series by first-row expansion in ints, computing each
+Q_(a,b) and each sub-partition's Pfaffian once per call.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -131,24 +130,31 @@ def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
     return result * sign
 
 
+def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -> int:
+    """Pf(Q_(p_i,p_j)) D^(2 pairs) of the even-length parts p by its first row (Macdonald,
+    III.8): the sum over the later parts b, the j-th from 0, of (-1)^j Q_(p_1,b) D^2 times
+    the value at p without p_1 and b, read from or added to memo (which holds () -> 1)."""
+    if parts not in memo:
+        a, rest = parts[0], parts[1:]
+        memo[parts] = sum((-1) ** j * q2(a, b) * _expand(rest[:j] + rest[j + 1 :], q2, memo)
+                          for j, b in enumerate(rest))
+    return memo[parts]
+
+
 def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
-    """Q-tilde of each partition in lams, over one Chern series.
+    """Q-tilde of each partition in lams, over one Chern series, by first-row expansion.
 
     The numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a
-    shorter series); the call memoizes the two-row rule once: each int Q_(a,b) D^2 on first use.
-    Each partition gets a fresh matrix (the Pfaffian rewrites it) and one division by D^(2 pairs).
+    shorter series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use,
+    and _expand by padded parts: a partition whose sub-partitions are in the memo costs
+    O(length) int products and one division by D^(2 pairs).
     """
     lams = list(lams)
     n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
-    q2 = cache(lambda a, b: _q2_coeff(a, b, n))
-    classes = []
-    for lam in lams:
-        parts = lam.parts + (0,) * (lam.length % 2)
-        m = [[None] * (i + 1) + [q2(a, b) for b in parts[i + 1 :]]
-             for i, a in enumerate(parts)]
-        pf = Fraction(_pfaffian(m), d2 ** (len(parts) // 2))
-        classes.append(ThetaClass(pf, lam.weight, THETA_PRIME))
-    return classes
+    q2, memo = cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
+    return [ThetaClass(Fraction(_expand(lam.parts + (0,) * (lam.length % 2), q2, memo),
+                                d2 ** ((lam.length + 1) // 2)), lam.weight, THETA_PRIME)
+            for lam in lams]
 
 
 def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
@@ -156,9 +162,13 @@ def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
 
     Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
-    A one-partition use of q_tilde_table.
+    One skew elimination, whose cost does not grow like a long partition's memo in _expand.
     """
-    return q_tilde_table([lam], c)[0]
+    n, d2 = _numerators(c, sum(lam.parts[:2]))
+    parts = lam.parts + (0,) * (lam.length % 2)
+    m = [[None] * (i + 1) + [_q2_coeff(a, b, n) for b in parts[i + 1 :]]
+         for i, a in enumerate(parts)]
+    return ThetaClass(Fraction(_pfaffian(m), d2 ** (len(parts) // 2)), lam.weight, THETA_PRIME)
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:

@@ -13,7 +13,8 @@ check's arguments (``r=0``, ``a=(1,)``).  The walks and the engine table are
 built outside the checks, so an error there ends ``pbn verify`` with no report
 (exit 2; 1 for an invariant violation).
 ``engine_classes`` walks the pointed sequences a and takes lambda =
-partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does.
+partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does, but
+evaluates every lambda in one ``q_tilde_table``, by first-row expansion.
 ``engine_oracle`` checks it against the product formula ``eval_identity``,
 and the class rule ``_agreement`` against the pointed closed form: at
 lambda_i = a_i + 1 one formula, in two reference versions.
@@ -79,16 +80,18 @@ class SuiteResult(_Record):
         self._store(name, cases, passed, counterexample, vacuous)
 
 
+def _walk(remaining: int, max_part: int, orders: tuple[int, ...], out: list) -> None:
+    """Append (p - 1,) + orders, then its extensions, per part p = a_i + 1 up to both bounds."""
+    for p in range(min(remaining, max_part), 0, -1):  # the top order first
+        out.append((p - 1,) + orders)
+        _walk(remaining - p, p - 1, out[-1], out)
+
+
 def pointed_sequences(max_weight: int) -> Iterator[VanishingSequence]:
     """Every pointed vanishing sequence whose rank partition (a_i + 1) has weight 1..max_weight."""
-
-    def rec(remaining: int, max_part: int, orders: tuple[int, ...]):
-        if orders:
-            yield VanishingSequence(orders)
-        for p in range(min(remaining, max_part), 0, -1):  # p = a_i + 1, the top order first
-            yield from rec(remaining - p, p - 1, (p - 1,) + orders)
-
-    yield from rec(max_weight, max_weight, ())
+    out = []
+    _walk(max_weight, max_weight, (), out)
+    return map(VanishingSequence, out)
 
 
 EngineTable = list[tuple[VanishingSequence, StrictPartition, theta_ring.ThetaClass]]
@@ -144,7 +147,7 @@ def _matches_oracle(lam: StrictPartition, engine: theta_ring.ThetaClass) -> str 
 
 @_suite("lambda={0.parts}", _matches_oracle)
 def suite_engine_oracle(engines: EngineTable) -> Iterator[tuple]:
-    """Pfaffian engine (skew elimination) against the closed product formula."""
+    """Pfaffian engine (first-row expansion) against the closed product formula."""
     return ((lam, engine) for _, lam, engine in engines)
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -351,19 +352,30 @@ class TestVerify:
         assert (res.cases, res.passed) == (1, False)
         assert res.counterexample.startswith("a=(3,):")
 
-    def test_run_all_evaluates_one_q_tilde_per_partition(self, monkeypatch):
-        # 761 partitions of weight <= 24, plus the staircases of r = 0..4 and
-        # the P-tilde staircases of r = 1..4.  The partitions go through one
-        # q_tilde_table, not q_tilde, so the Pfaffian itself is counted.
+    def test_run_all_expands_each_partition_once(self, monkeypatch):
+        # The 761 partitions of weight <= 24 go through one q_tilde_table: one memo
+        # holds their 761 padded parts and (), each expanded once along its first
+        # row, in 2,151 terms (its padded length less one).  _pfaffian runs only
+        # for the staircases of r = 0..4 and the P-tilde staircases of r = 1..4.
         from prymbn import lagrangian
         from prymbn import verify as verify_mod
 
-        calls = []
-        real = lagrangian._pfaffian
-        monkeypatch.setattr(lagrangian, "_pfaffian", lambda m: calls.append(len(m)) or real(m))
+        calls, memos, terms = [], {}, []
+        real_pf, real_expand = lagrangian._pfaffian, lagrangian._expand
+
+        def expand(parts, q2, memo):
+            memos[id(memo)] = memo
+            if parts not in memo:
+                terms.append(len(parts) - 1)
+            return real_expand(parts, q2, memo)
+
+        monkeypatch.setattr(lagrangian, "_pfaffian", lambda m: calls.append(len(m)) or real_pf(m))
+        monkeypatch.setattr(lagrangian, "_expand", expand)
         results = verify_mod.run_all(24, 12, 4)
         assert all(res.passed for res in results)
-        assert len(calls) == 761 + 5 + 4
+        assert calls == [2, 2, 4, 4, 6] + [2, 2, 4, 4]
+        assert [len(memo) for memo in memos.values()] == [761 + 1]
+        assert (len(terms), sum(terms)) == (761, 2151)
 
     def test_run_all_computes_each_two_row_class_once_per_table(self, monkeypatch):
         # One table for the 761 partitions, one per staircase: each Q_(a,b)
@@ -417,6 +429,7 @@ class TestVerify:
         ((0, 0, 0), "606a0d8e1d7edbde6d77cb70c379ed69"),
         ((1, 1, 0), "53344138f002f8367a52a986e969ec62"),
         ((30, 14, 5), "93c74a7afa36523d9fe063ea956b331d"),
+        ((40, 12, 4), "6fade0a0e6424207c498cfbc8ec780e4"),
     ])
     def test_report_bytes_are_pinned(self, bounds, md5):
         # The three small bounds take the vacuous and counting paths of _suite.
@@ -488,6 +501,32 @@ class TestVerify:
                     if sum(parts) <= w]
             got = [lagrangian.partition_for(a).parts for a in verify.pointed_sequences(w)]
             assert sorted(got) == sorted(want), w
+
+    def test_walk_order_is_depth_first_top_order_first(self):
+        # The order of the nested-generator walk it replaced: a sequence, then its
+        # extensions by a smaller order, the largest part first.
+        def nested(remaining, max_part, orders):
+            if orders:
+                yield orders
+            for p in range(min(remaining, max_part), 0, -1):
+                yield from nested(remaining - p, p - 1, (p - 1,) + orders)
+
+        for w in range(-1, 17):
+            got = [a.entries for a in verify.pointed_sequences(w)]
+            assert got == list(nested(w, w, ())), w
+        assert [a.entries for a in verify.pointed_sequences(4)] == [
+            (3,), (2,), (0, 2), (1,), (0, 1), (0,)]
+
+    def test_engine_table_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            verify.engine_classes(12)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_engine_table_is_the_pointed_engine(self):
         table = verify.engine_classes(12)

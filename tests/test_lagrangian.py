@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from fractions import Fraction
@@ -291,8 +292,15 @@ def partition_lists(max_part):
 
 
 class TestQTildeTable:
-    # One table serves many partitions; each gets a fresh matrix, so a row swap
-    # in one partition's Pfaffian must not reach the next.
+    # One table serves many partitions by first-row expansion over one memo, and
+    # q_tilde takes each by skew elimination: two algorithms, compared here.
+
+    def test_matches_q_tilde_to_weight_24(self):
+        lams = list(map(partition_for, verify.pointed_sequences(24)))
+        table = q_tilde_table(lams, chern_series_W(24))
+        assert len(table) == 761
+        for lam, got in zip(lams, table, strict=True):
+            assert got == q_tilde(lam, chern_series_W(sum(lam.parts[:2])))
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
         lams = list(map(partition_for, verify.pointed_sequences(16)))
@@ -349,6 +357,42 @@ class TestQTildeTable:
     def test_table_needs_the_series_to_its_top(self):
         with pytest.raises(ParameterError, match="truncated at 4, need order 5"):
             q_tilde_table([StrictPartition.of(3, 2)], chern_series_W(4))
+
+
+@functools.cache
+def shifted_tableaux(parts):
+    """g^lambda, the number of standard shifted tableaux of the strict partition parts.
+
+    The largest entry sits in a corner: the last box of a row whose removal leaves the
+    parts strict.  Summing over the corners counts with no factorial, no Pfaffian and
+    no Fraction: the third reference for the engine, after the Pfaffian and eval_identity.
+    """
+    if not parts:
+        return 1
+    total = 0
+    for i, p in enumerate(parts):
+        rest = parts[:i] + (p - 1,) * (p > 1) + parts[i + 1 :]
+        if all(x > y for x, y in zip(rest, rest[1:])):
+            total += shifted_tableaux(rest)
+    return total
+
+
+class TestShiftedTableaux:
+    # Thrall's shifted hook-length formula: g^lambda = |lambda|! eval_identity(lambda),
+    # the coefficient of theta'^|lambda| in Q-tilde at c_i = theta'^i/i!.
+
+    @pytest.mark.parametrize("parts,count", [
+        ((), 1), ((1,), 1), ((5,), 1), ((2, 1), 1), ((4, 1), 3), ((3, 2), 2),
+        ((3, 2, 1), 2), ((4, 2, 1), 7), ((4, 3, 2, 1), 12),
+    ])
+    def test_examples(self, parts, count):
+        assert shifted_tableaux(parts) == count
+
+    def test_table_counts_shifted_tableaux_to_weight_20(self):
+        table = verify.engine_classes(20)
+        assert len(table) == 370
+        for _, lam, engine in table:
+            assert math.factorial(lam.weight) * engine.coeff == shifted_tableaux(lam.parts)
 
 
 class TestEvalIdentity:

@@ -80,9 +80,22 @@ MUTANTS = [
      ["tests/test_bn_numerics.py::TestExpectedDimVEta::test_k0_nonnegative_is_unknown",
       "tests/test_bn_numerics.py::TestExpectedDimV::test_k3_is_lower_bound_only"]),
     ("a table recomputes each Q_(a,b) on every use", "src/prymbn/lagrangian.py",
-     "q2 = cache(lambda a, b: _q2_coeff(a, b, n))",
-     "q2 = lambda a, b: _q2_coeff(a, b, n)",
+     "cache(lambda a, b: _q2_coeff(a, b, n))",
+     "(lambda a, b: _q2_coeff(a, b, n))",
      ["tests/test_cli.py::TestVerify::test_run_all_computes_each_two_row_class_once_per_table"]),
+    ("the first-row expansion flips its alternating sign", "src/prymbn/lagrangian.py",
+     "(-1) ** j * q2(a, b)",
+     "(-1) ** (j + 1) * q2(a, b)",
+     ["tests/test_lagrangian.py::TestQTildeTable::test_matches_q_tilde_to_weight_24"]),
+    ("the table drops the zero part of an odd length", "src/prymbn/lagrangian.py",
+     "_expand(lam.parts + (0,) * (lam.length % 2), q2, memo)",
+     "_expand(lam.parts, q2, memo)",
+     ["tests/test_lagrangian.py::TestShiftedTableaux"
+      "::test_table_counts_shifted_tableaux_to_weight_20"]),
+    ("the first-row expansion forgets its memo", "src/prymbn/lagrangian.py",
+     "if parts not in memo:",
+     "if True:",
+     ["tests/test_cli.py::TestVerify::test_run_all_expands_each_partition_once"]),
     ("eval_identity flips the sign of each pair factor", "src/prymbn/lagrangian.py",
      "num = math.prod(x - y for x, y in pairs)",
      "num = math.prod(y - x for x, y in pairs)",
@@ -94,7 +107,7 @@ MUTANTS = [
     ("the class rule ignores the locus's ratio", "src/prymbn/verify.py",
      "entry.ratio(v)",
      "1",
-     ["tests/test_cli.py::TestVerify::test_run_all_evaluates_one_q_tilde_per_partition"]),
+     ["tests/test_cli.py::TestVerify::test_run_all_expands_each_partition_once"]),
     ("engine_classes sizes its Chern series from max_weight", "src/prymbn/verify.py",
      "formulas.chern_series_W(max((sum(lam.parts[:2]) for lam in lams), default=0))",
      "formulas.chern_series_W(max(max_weight, 0))",
