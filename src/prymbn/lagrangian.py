@@ -4,10 +4,10 @@ The two-row classes Q_(a,b) are integer sums over one common denominator:
 with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
-matrix of those integers, divided once by D^(2 pairs).  ``q_tilde`` takes it by
-skew elimination, division-free to length 4.  ``q_tilde_table`` evaluates many
-partitions over one Chern series by first-row expansion in ints, computing each
-Q_(a,b) and each sub-partition's Pfaffian once per call.
+matrix of those integers, divided once by D^(2 pairs).  ``q_tilde_table`` is the
+one evaluator: it picks the algorithm by padded length, first-row expansion in
+ints over a memo of sub-partitions up to _EXPANDED, skew elimination above it;
+``q_tilde`` is its one-partition use.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -89,19 +89,22 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     return ThetaClass(Fraction(_q2_coeff(a, b, n), d2), a + b, THETA_PRIME)
 
 
+# q_tilde_table expands padded lengths up to this; longer memos grow like Fibonacci numbers.
+_EXPANDED = 8
+
+
 def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
     Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM
-    TOMS Alg. 923).  For k = 0, 2, ..., n - 6 the first nonzero entry of row k is
+    TOMS Alg. 923).  For k = 0, 2, ..., n - 2 the first nonzero entry of row k is
     swapped into column k+1 (a sign flip; a zero row gives 0), the pivot m[k][k+1]
     joins the product, and Fraction multipliers clear pair k, k+1 from the rows and
-    columns k+2 on.  The last four rows close division-free as m01 m23 - m02 m13 +
-    m03 m12 (two as m01, none as 1): int entries of order <= 4 give an int.
+    columns k+2 on.  q_tilde_table calls it past _EXPANDED, at order 10 or more.
     """
     n = len(m)
     result, sign = 1, 1
-    for k in range(0, n - 4, 2):
+    for k in range(0, n, 2):
         row, a = m[k], k + 1
         b = next((j for j in range(a, n) if row[j]), None)
         if b is None:
@@ -122,11 +125,6 @@ def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
             mi, ci, pi = m[i], mult[i], pivot_row[i]
             for j in range(i + 1, n):
                 mi[j] += mult[j] * pi - ci * pivot_row[j]
-    if n >= 4:
-        k, (w, x, y) = n - 4, m[n - 4 : n - 1]
-        result *= w[k + 1] * y[k + 3] - w[k + 2] * x[k + 3] + w[k + 3] * x[k + 2]
-    elif n:
-        result *= m[0][1]
     return result * sign
 
 
@@ -142,33 +140,33 @@ def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -
 
 
 def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
-    """Q-tilde of each partition in lams, over one Chern series, by first-row expansion.
+    """Q-tilde of each partition in lams, over one Chern series: the one evaluator.
 
-    The numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a
-    shorter series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use,
-    and _expand by padded parts: a partition whose sub-partitions are in the memo costs
-    O(length) int products and one division by D^(2 pairs).
+    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  The
+    numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a shorter
+    series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use.  A
+    padded length up to _EXPANDED is expanded by _expand over one memo of padded parts,
+    so a partition whose sub-partitions are in it costs O(length) int products; a longer
+    one is eliminated by _pfaffian on its int matrix.  Each gets one division by D^(2 pairs).
     """
-    lams = list(lams)
+    lams, table = list(lams), []
     n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
     q2, memo = cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
-    return [ThetaClass(Fraction(_expand(lam.parts + (0,) * (lam.length % 2), q2, memo),
-                                d2 ** ((lam.length + 1) // 2)), lam.weight, THETA_PRIME)
-            for lam in lams]
+    for lam in lams:
+        p = lam.parts + (0,) * (lam.length % 2)
+        pf = _expand(p, q2, memo) if len(p) <= _EXPANDED else _pfaffian(
+            [[None] * (i + 1) + [q2(a, b) for b in p[i + 1 :]] for i, a in enumerate(p)])
+        table.append(ThetaClass(Fraction(pf, d2 ** (len(p) // 2)), lam.weight, THETA_PRIME))
+    return table
 
 
 def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
-    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.
+    The one-partition q_tilde_table, which picks the algorithm by padded length.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
-    One skew elimination, whose cost does not grow like a long partition's memo in _expand.
     """
-    n, d2 = _numerators(c, sum(lam.parts[:2]))
-    parts = lam.parts + (0,) * (lam.length % 2)
-    m = [[None] * (i + 1) + [_q2_coeff(a, b, n) for b in parts[i + 1 :]]
-         for i, a in enumerate(parts)]
-    return ThetaClass(Fraction(_pfaffian(m), d2 ** (len(parts) // 2)), lam.weight, THETA_PRIME)
+    return q_tilde_table([lam], c)[0]
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:

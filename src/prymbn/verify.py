@@ -14,7 +14,7 @@ built outside the checks, so an error there ends ``pbn verify`` with no report
 (exit 2; 1 for an invariant violation).
 ``engine_classes`` walks the pointed sequences a and takes lambda =
 partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does, but
-evaluates every lambda in one ``q_tilde_table``, by first-row expansion.
+evaluates every lambda in one ``q_tilde_table`` (expanded up to length 8).
 ``engine_oracle`` checks it against the product formula ``eval_identity``,
 and the class rule ``_agreement`` against the pointed closed form: at
 lambda_i = a_i + 1 one formula, in two reference versions.
@@ -147,7 +147,7 @@ def _matches_oracle(lam: StrictPartition, engine: theta_ring.ThetaClass) -> str 
 
 @_suite("lambda={0.parts}", _matches_oracle)
 def suite_engine_oracle(engines: EngineTable) -> Iterator[tuple]:
-    """Pfaffian engine (first-row expansion) against the closed product formula."""
+    """Pfaffian engine table against the closed product formula."""
     return ((lam, engine) for _, lam, engine in engines)
 
 

@@ -7,19 +7,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prymbn import verify
+from prymbn import lagrangian, verify
 from prymbn.bn_numerics import VanishingSequence
 from prymbn.errors import ParameterError
 from prymbn.formulas import (
     ChernSeries,
     chern_series_W,
+    count_points,
     twisted_class,
     twisted_pointed_class,
     unramified_class,
 )
 from prymbn.lagrangian import (
     StrictPartition,
+    _expand,
+    _numerators,
     _pfaffian,
+    _q2_coeff,
     eval_identity,
     lagrangian_class_pointed,
     lagrangian_class_twisted,
@@ -31,7 +35,14 @@ from prymbn.lagrangian import (
     q_two,
     staircase,
 )
-from prymbn.theta_ring import ThetaClass, substitute_theta_prime_as_2xi
+from prymbn.theta_ring import (
+    RAMIFIED_TWISTED,
+    UNRAMIFIED_PM,
+    ThetaClass,
+    degree,
+    make_space,
+    substitute_theta_prime_as_2xi,
+)
 
 
 def laplace_pfaffian(parts, entry):
@@ -80,6 +91,20 @@ def laplace_q_tilde(lam, c):
     """Q-tilde from the two-row classes q_two alone, by Laplace expansion."""
     parts = lam.parts + (0,) * (lam.length % 2)
     return laplace_pfaffian(parts, lambda a, b: q_two(a, b, c).coeff)
+
+
+def int_matrix(parts, q2):
+    """The upper triangle of the skew matrix q2(p_i, p_j) over the padded parts."""
+    return [[None] * (i + 1) + [q2(a, b) for b in parts[i + 1 :]] for i, a in enumerate(parts)]
+
+
+def eliminated_q_tilde(lam, c):
+    """Q-tilde coefficient by _pfaffian at every length, on the engine's int matrix:
+    the skew elimination that q_tilde_table keeps for padded lengths past _EXPANDED."""
+    parts = lam.parts + (0,) * (lam.length % 2)
+    n, d2 = _numerators(c, sum(parts[:2]))
+    m = int_matrix(parts, lambda a, b: _q2_coeff(a, b, n))
+    return Fraction(_pfaffian(m), d2 ** (len(parts) // 2))
 
 
 @st.composite
@@ -216,6 +241,14 @@ class TestLaplaceOracle:
         assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
 
+    def test_zero_pivot_past_the_expanded_length_swaps_rows(self):
+        # (9, 8, ..., 1, 0) has padded length 10, so q_tilde eliminates.  Only c_4 = c_9 = 1
+        # besides c_0: the row of 9 is zero up to Q_(9,5) = Q_(9,0) = 1, and the first step
+        # must swap the column of 5 in.  The swap's sign flip gives 16; without it, -16.
+        lam, c = staircase(9), ChernSeries(tuple(int(i in (0, 4, 9)) for i in range(18)))
+        assert [q_two(9, b, c).coeff for b in range(8, -1, -1)] == [0, 0, 0, 0, 1, 0, 0, 0, 1]
+        assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 16
+
 
 def skew_upper(n, upper):
     """The order-n upper triangle m[i][j], j > i, filled row by row from upper."""
@@ -238,8 +271,7 @@ skew_matrices = st.integers(0, 5).flatmap(
 
 class TestPfaffian:
     # Integer entries drawn mostly from {0, +-1, 2} put zero pivots, row swaps and
-    # zero rows both in the dividing steps (orders 6 to 10) and in the last four
-    # rows, which close without a division.  A float multiplier whose value happens
+    # zero rows in every step, up to order 10.  A float multiplier whose value happens
     # to be exact would still compare equal, so the result's type is checked too.
 
     @given(skew_matrices)
@@ -247,9 +279,9 @@ class TestPfaffian:
     @example((6, [0, 0, 0, 0, 0, 1, 2, -1, 1, 1, 0, 2, -1, 1, 1]))
     # order 6, m01 = m02 = 0: the dividing step swaps column 3 into column 1
     @example((6, [0, 0, 1, 0, 2, 1, -1, 0, 2, 1, 0, 1, 2, -1, 1]))
-    # order 4, m01 = 0: the closing rows need no pivot
+    # order 4, m01 = 0: the first step swaps column 2 into column 1
     @example((4, [0, 1, 2, 1, 1, 1]))
-    # order 6, row 2 zero after elimination: the closing rows give 0
+    # order 6, row 2 zero after elimination: the second step returns 0
     @example((6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1]))
     def test_integer_matrix_matches_laplace_expansion(self, matrix):
         n, upper = matrix
@@ -258,8 +290,6 @@ class TestPfaffian:
         got = _pfaffian(m)
         assert type(got) in (int, Fraction)
         assert got == want
-        if n <= 4:
-            assert type(got) is int
 
 
 class TestRationalChernData:
@@ -292,15 +322,20 @@ def partition_lists(max_part):
 
 
 class TestQTildeTable:
-    # One table serves many partitions by first-row expansion over one memo, and
-    # q_tilde takes each by skew elimination: two algorithms, compared here.
+    # One table expands the padded lengths up to _EXPANDED along the first row over one
+    # memo, and eliminates the longer ones; the two algorithms are compared here on the
+    # same int matrices, and with the Laplace oracle.
 
-    def test_matches_q_tilde_to_weight_24(self):
+    def test_expansion_matches_elimination_to_weight_24(self):
+        # The 761 partitions of weight <= 24 (padded length <= 6), then the staircases
+        # of padded length 8 to 12, each by _expand over one memo and by _pfaffian.
+        n, _ = _numerators(chern_series_W(24), 24)
+        q2, memo = functools.cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
         lams = list(map(partition_for, verify.pointed_sequences(24)))
-        table = q_tilde_table(lams, chern_series_W(24))
-        assert len(table) == 761
-        for lam, got in zip(lams, table, strict=True):
-            assert got == q_tilde(lam, chern_series_W(sum(lam.parts[:2])))
+        assert len(lams) == 761
+        for lam in lams + [staircase(m) for m in range(7, 13)]:
+            parts = lam.parts + (0,) * (lam.length % 2)
+            assert _expand(parts, q2, memo) == _pfaffian(int_matrix(parts, q2))
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
         lams = list(map(partition_for, verify.pointed_sequences(16)))
@@ -320,7 +355,7 @@ class TestQTildeTable:
         c = ChernSeries((1, *tail))
         got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         assert got == [laplace_q_tilde(lam, c) for lam in lams + lams]
-        assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
+        assert got == [eliminated_q_tilde(lam, c) for lam in lams + lams]
 
     @given(
         partition_lists(9),
@@ -331,7 +366,7 @@ class TestQTildeTable:
         got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams + lams]
         assert got == [laplace_pfaffian(p, lambda a, b: literal_q2(a, b, c)) for p in padded]
-        assert got == [q_tilde(lam, c).coeff for lam in lams + lams]
+        assert got == [eliminated_q_tilde(lam, c) for lam in lams + lams]
 
     def test_row_swap_does_not_leak(self):
         # (5, 4, 3, 2, 1) swaps a column past Q_(5,4) = ... = Q_(5,1) = 0 (see
@@ -393,6 +428,38 @@ class TestShiftedTableaux:
         assert len(table) == 370
         for _, lam, engine in table:
             assert math.factorial(lam.weight) * engine.coeff == shifted_tableaux(lam.parts)
+
+    # The counts and degrees of the closed forms on the calibrated torsors, against the
+    # DP, with e = |lambda| and l = length(lambda): no factorial or double factorial on
+    # this side.
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_twisted_count_at_dimension_zero(self, k, r):
+        # 2^(e-l-(k-1)) g^lambda at lambda = staircase(r+1), g = dimension_zero_genus(k, r).
+        lam = staircase(r + 1)
+        space = make_space(RAMIFIED_TWISTED, verify.dimension_zero_genus(k, r), k)
+        want = 2 ** (lam.weight - lam.length - (k - 1)) * shifted_tableaux(lam.parts)
+        assert count_points(twisted_class(r), space) == want
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_unramified_degree_at_dimension_zero(self, r):
+        # 2^(e-l) g^lambda at lambda = staircase(r), on P+/P- at g - 1 = r(r+1)/2.
+        lam = staircase(r)
+        space = make_space(UNRAMIFIED_PM, r * (r + 1) // 2 + 1, 0)
+        want = 2 ** (lam.weight - lam.length) * shifted_tableaux(lam.parts)
+        assert degree(unramified_class(r), space) == want
+
+    def test_pointed_degree_to_weight_20(self):
+        # 2^e g^lambda at k = 1, g = e, lambda = partition_for(a): every pointed sequence of
+        # weight 2..20 (g = 1 is below the torsor table's genus 2).
+        seqs = [a for a in verify.pointed_sequences(20) if partition_for(a).weight >= 2]
+        assert len(seqs) == 369
+        for a in seqs:
+            lam = partition_for(a)
+            space = make_space(RAMIFIED_TWISTED, lam.weight, 1)
+            want = 2**lam.weight * shifted_tableaux(lam.parts)
+            assert degree(twisted_pointed_class(a), space) == want
 
 
 class TestEvalIdentity:
@@ -485,6 +552,18 @@ class TestStaircaseRelation:
     def test_twisted_engine_class_is_pointed_at_0_to_r(self, r):
         pointed = lagrangian_class_pointed(VanishingSequence(tuple(range(r + 1))))
         assert lagrangian_class_twisted(r) == pointed
+
+    def test_twisted_engine_eliminates_past_the_expanded_length(self, monkeypatch):
+        # staircase(11), padded to order 12, is past _EXPANDED = 8: one skew elimination
+        # of order 12 and no first-row expansion.
+        pfaffians, expansions = [], []
+        real_pf, real_expand = lagrangian._pfaffian, lagrangian._expand
+        monkeypatch.setattr(
+            lagrangian, "_pfaffian", lambda m: pfaffians.append(len(m)) or real_pf(m))
+        monkeypatch.setattr(lagrangian, "_expand",
+                            lambda p, q2, memo: expansions.append(p) or real_expand(p, q2, memo))
+        assert lagrangian_class_twisted(10).coeff == 2**11 * twisted_class(10).coeff
+        assert (pfaffians, expansions) == ([12], [])
 
     def test_twisted_engine_refuses_negative_rank(self):
         with pytest.raises(ParameterError, match="rank must be non-negative"):

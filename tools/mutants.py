@@ -51,7 +51,8 @@ MUTANTS = [
      "            sign = -sign\n",
      "",
      ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
-      "tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows"]),
+      "tests/test_lagrangian.py::TestLaplaceOracle"
+      "::test_zero_pivot_past_the_expanded_length_swaps_rows"]),
     ("_suite never marks a suite vacuous", "src/prymbn/verify.py",
      "vacuous=True if cases == 0 else None",
      "vacuous=None",
@@ -86,12 +87,22 @@ MUTANTS = [
     ("the first-row expansion flips its alternating sign", "src/prymbn/lagrangian.py",
      "(-1) ** j * q2(a, b)",
      "(-1) ** (j + 1) * q2(a, b)",
-     ["tests/test_lagrangian.py::TestQTildeTable::test_matches_q_tilde_to_weight_24"]),
+     ["tests/test_lagrangian.py::TestQTildeTable"
+      "::test_expansion_matches_elimination_to_weight_24"]),
     ("the table drops the zero part of an odd length", "src/prymbn/lagrangian.py",
-     "_expand(lam.parts + (0,) * (lam.length % 2), q2, memo)",
-     "_expand(lam.parts, q2, memo)",
+     "p = lam.parts + (0,) * (lam.length % 2)",
+     "p = lam.parts",
      ["tests/test_lagrangian.py::TestShiftedTableaux"
       "::test_table_counts_shifted_tableaux_to_weight_20"]),
+    ("every partition expands, at any padded length", "src/prymbn/lagrangian.py",
+     "if len(p) <= _EXPANDED else",
+     "if True else",
+     ["tests/test_lagrangian.py::TestStaircaseRelation"
+      "::test_twisted_engine_eliminates_past_the_expanded_length"]),
+    ("every partition is eliminated, at any padded length", "src/prymbn/lagrangian.py",
+     "if len(p) <= _EXPANDED else",
+     "if False else",
+     ["tests/test_cli.py::TestVerify::test_run_all_expands_each_partition_once"]),
     ("the first-row expansion forgets its memo", "src/prymbn/lagrangian.py",
      "if parts not in memo:",
      "if True:",
@@ -100,6 +111,11 @@ MUTANTS = [
      "num = math.prod(x - y for x, y in pairs)",
      "num = math.prod(y - x for x, y in pairs)",
      ["tests/test_lagrangian.py::TestEvalIdentity::test_examples"]),
+    ("_double_factorials multiplies the odd numbers, not their double factorials",
+     "src/prymbn/formulas.py",
+     "math.prod(accumulate(range(1, 2 * n, 2), mul))",
+     "math.prod(range(1, 2 * n, 2))",
+     ["tests/test_lagrangian.py::TestShiftedTableaux::test_twisted_count_at_dimension_zero"]),
     ("twisted_pointed_class divides by a_i + a_j + 1", "src/prymbn/formulas.py",
      "math.prod(ai + aj + 2 for aj, ai in pairs)",
      "math.prod(ai + aj + 1 for aj, ai in pairs)",
