@@ -108,12 +108,9 @@ def expected_dim_V(g: int, k: int, r: int) -> DimReport:
     g, k, r = _at_least("expected_dim_V requires g >= 2, k >= 0, r >= 0", (2, 0, 0),
                         g=g, k=k, r=r)
     value = g - 1 + k - k * (r + 1) - r * (r + 1) // 2
-    if k == 0:
-        source = "exact dimension g-1-r(r+1)/2 of the norm-omega locus (unramified)"
-    elif k == 1:
-        source = "exact dimension g-(r+1)(r+2)/2 of the norm-omega locus (2 branch points)"
-    else:
-        source = "lower bound g-1+k-k(r+1)-r(r+1)/2 on the norm-omega locus"
+    source = ("exact dimension g-1-r(r+1)/2 of the norm-omega locus (unramified)",
+              "exact dimension g-(r+1)(r+2)/2 of the norm-omega locus (2 branch points)",
+              "lower bound g-1+k-k(r+1)-r(r+1)/2 on the norm-omega locus")[min(k, 2)]
     return _report(value, source, k < 2, k < 2)
 
 

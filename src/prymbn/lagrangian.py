@@ -7,7 +7,7 @@ rational Chern data.  A longer strict partition gives the Pfaffian of its skew
 matrix of those integers, divided once by D^(2 pairs).  ``q_tilde_table`` is the
 one evaluator: it picks the algorithm by padded length, first-row expansion in
 ints over a memo of sub-partitions up to _EXPANDED, skew elimination above it;
-``q_tilde`` is its one-partition use.
+``q_tilde`` and ``q_two`` are its one-partition uses.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -77,18 +77,6 @@ def _q2_coeff(a: int, b: int, n: list[int]) -> int:
     return total
 
 
-def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
-    """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}.
-
-    Summed over integers n_i = c_i D and divided once by D^2 (see _numerators).
-    """
-    a, b = _integers("a and b", a, b)
-    if not a > b >= 0:
-        raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
-    n, d2 = _numerators(c, a + b)
-    return ThetaClass(Fraction(_q2_coeff(a, b, n), d2), a + b, THETA_PRIME)
-
-
 # q_tilde_table expands padded lengths up to this; longer memos grow like Fibonacci numbers.
 _EXPANDED = 8
 
@@ -96,15 +84,15 @@ _EXPANDED = 8
 def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
-    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM
-    TOMS Alg. 923).  For k = 0, 2, ..., n - 2 the first nonzero entry of row k is
-    swapped into column k+1 (a sign flip; a zero row gives 0), the pivot m[k][k+1]
-    joins the product, and Fraction multipliers clear pair k, k+1 from the rows and
-    columns k+2 on.  q_tilde_table calls it past _EXPANDED, at order 10 or more.
+    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM TOMS
+    Alg. 923), which q_tilde_table runs past _EXPANDED.  For k = 0, 2, ..., n - 4 the first
+    nonzero entry of row k is swapped into column k+1 (a sign flip; a zero row gives 0), the
+    pivot m[k][k+1] joins the product, and Fraction multipliers clear pair k, k+1 from the
+    later rows and columns.  It stops at the last pivot, m[n-2][n-1] (1 at order 0).
     """
     n = len(m)
     result, sign = 1, 1
-    for k in range(0, n, 2):
+    for k in range(0, n - 2, 2):
         row, a = m[k], k + 1
         b = next((j for j in range(a, n) if row[j]), None)
         if b is None:
@@ -117,15 +105,14 @@ def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
                 m[a][t], m[b][t] = m[b][t], m[a][t]
             m[a][b] = -m[a][b]
             sign = -sign
-        pivot, pivot_row = row[a], m[a]
-        result *= pivot
-        inverse = Fraction(1, pivot)
+        pivot_row, inverse = m[a], Fraction(1, row[a])
+        result *= row[a]
         mult = [None] * (k + 2) + [row[i] * inverse for i in range(k + 2, n)]
         for i in range(k + 2, n):
             mi, ci, pi = m[i], mult[i], pivot_row[i]
             for j in range(i + 1, n):
                 mi[j] += mult[j] * pi - ci * pivot_row[j]
-    return result * sign
+    return result * sign * (m[n - 2][n - 1] if n else 1)
 
 
 def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -> int:
@@ -167,6 +154,16 @@ def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
     """
     return q_tilde_table([lam], c)[0]
+
+
+def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
+    """Two-row class Q_(a,b) = c_a c_b + 2 sum_{j=1}^{b} (-1)^j c_{a+j} c_{b-j}.
+
+    The one-partition q_tilde at (a, b), or at (a,) for b = 0, which the table pads to (a, 0)."""
+    a, b = _integers("a and b", a, b)
+    if not a > b >= 0:
+        raise ParameterError(f"need a > b >= 0, got a={a}, b={b}")
+    return q_tilde(StrictPartition((a, b) if b else (a,)), c)
 
 
 def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:

@@ -28,6 +28,8 @@ from prymbn.theta_ring import ThetaClass
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_COMMANDS = (GOLDEN / "commands.txt").read_text().splitlines()
+# "w g r md5" per line: the pbn verify report's md5 at those bounds, also checked in CI.
+VERIFY_PINS = [line.split() for line in (GOLDEN / "verify_pins.txt").read_text().splitlines()]
 
 
 def run_cli(*args):
@@ -425,17 +427,10 @@ class TestVerify:
         summary = lambda results: [(s.name, s.cases, s.passed) for s in results]  # noqa: E731
         assert summary(v.run_all(w, g, r)) == summary(standalone)
 
-    @pytest.mark.parametrize("bounds,md5", [
-        ((24, 12, 4), "f3d0ee5b30b5569a9fad3040350e58ef"),
-        ((12, 8, 3), "6a5e3b7004840a77e4cd03c5cded7d9f"),
-        ((0, 0, 0), "606a0d8e1d7edbde6d77cb70c379ed69"),
-        ((1, 1, 0), "53344138f002f8367a52a986e969ec62"),
-        ((30, 14, 5), "93c74a7afa36523d9fe063ea956b331d"),
-        ((40, 12, 4), "6fade0a0e6424207c498cfbc8ec780e4"),
-    ])
+    @pytest.mark.parametrize("bounds,md5", [((w, g, r), md5) for w, g, r, md5 in VERIFY_PINS])
     def test_report_bytes_are_pinned(self, bounds, md5):
         # The three small bounds take the vacuous and counting paths of _suite.
-        w, g, r = map(str, bounds)
+        w, g, r = bounds
         code, out, _ = run_cli("verify", "--max-weight", w, "--max-g", g, "--max-r", r)
         assert (code, hashlib.md5(out.encode()).hexdigest()) == (0, md5)
 

@@ -283,6 +283,13 @@ class TestPfaffian:
     @example((4, [0, 1, 2, 1, 1, 1]))
     # order 6, row 2 zero after elimination: the second step returns 0
     @example((6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1]))
+    # order 0: the empty product, 1
+    @example((0, []))
+    # order 2: the last pivot alone, 0 and then -3
+    @example((2, [0]))
+    @example((2, [-3]))
+    # order 6, pivots -1 and 2, then m45 = 2 is 0 after elimination: the last pivot gives 0
+    @example((6, [-1, 1, 1, -1, 1, -1, 1, 2, 0, 0, 1, -1, -1, 1, 2]))
     def test_integer_matrix_matches_laplace_expansion(self, matrix):
         n, upper = matrix
         m = skew_upper(n, upper)

@@ -53,6 +53,16 @@ MUTANTS = [
      ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
       "tests/test_lagrangian.py::TestLaplaceOracle"
       "::test_zero_pivot_past_the_expanded_length_swaps_rows"]),
+    ("elimination drops its final pivot", "src/prymbn/lagrangian.py",
+     "return result * sign * (m[n - 2][n - 1] if n else 1)",
+     "return result * sign",
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
+      "tests/test_lagrangian.py::TestQTildeTable"
+      "::test_expansion_matches_elimination_to_weight_24"]),
+    ("q_two pads b = 0 as a part", "src/prymbn/lagrangian.py",
+     "(a, b) if b else (a,)",
+     "(a, b)",
+     ["tests/test_lagrangian.py::TestQTwo::test_single_part_is_chern_class"]),
     ("_suite never marks a suite vacuous", "src/prymbn/verify.py",
      "vacuous=True if cases == 0 else None",
      "vacuous=None",
