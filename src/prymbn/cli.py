@@ -257,10 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Exact values may exceed the int-to-str limit (absent before Python 3.10.7): lift it here.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # Exact values may exceed the int-to-str digit limit: lift it here.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         result, citations = args.func(args)
         # params: each subcommand flag that was given or has a default, as parsed
@@ -275,8 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"pbn: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
     sys.stdout.write(text)
     if args.subcommand == "verify" and not result["all_passed"]:
         return INVARIANT_ERROR

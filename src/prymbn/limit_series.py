@@ -105,7 +105,7 @@ def enumerate_candidates(p: LimitProblem) -> list[tuple[int, ...]]:
 
     For the two directly-posed problems the sum constraint is the
     adjusted-rho condition rho_pointed = rho - sum(a_i - i) = s on both
-    aspects, which ``solve_unique`` re-checks on its survivor.  The walk
+    aspects, which ``solve_unique`` re-checks on its answer.  The walk
     fixes a_0, a_1, ... left to right, visiting only completable prefixes, so
     the list is lexicographic.  ``solve_unique`` deliberately filters this full
     list: perfbench counts candidates by wrapping this call, so pruning waits
@@ -152,8 +152,8 @@ def solve_unique(
     """Filter the candidate tuples down to the proven unique solution.
 
     ``candidates`` is ``enumerate_candidates(p)`` when the caller already
-    has it; by default it is enumerated here.  Only the survivor becomes a
-    ``VanishingSequence``.
+    has it; by default it is enumerated here.  No candidate becomes a record:
+    one comparison requires the survivors to be exactly the closed form.
     """
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
@@ -165,23 +165,15 @@ def solve_unique(
     else:
         low, high = p.g - p.r, p.g + p.r
         survivors = [a for a in candidates if a[0] == low and a[-1] == high]
-    if len(survivors) != 1:
-        raise InvariantViolationError(
-            f"{p.flavor} g={p.g} r={p.r}: expected a unique survivor, "
-            f"got {[list(a) for a in survivors]}"
-        )
-    survivor = VanishingSequence(survivors[0])
-    for aspect in (survivor, complementary_vanishing(p.degree, survivor)):
+    if survivors != [closed.entries]:
+        raise InvariantViolationError(f"{p.flavor} g={p.g} r={p.r}: survivors {survivors} "
+                                      f"are not exactly the closed form {closed.entries}")
+    for aspect in (closed, complementary_vanishing(p.degree, closed)):
         if rho_pointed(p.component_genus, p.r, p.degree, aspect) != p.s:
             raise InvariantViolationError(
                 f"{p.flavor} g={p.g} r={p.r}: adjusted rho of {aspect.entries} is not s = {p.s}"
             )
-    if survivor != closed:
-        raise InvariantViolationError(
-            f"{p.flavor} g={p.g} r={p.r}: survivor {survivor.entries} "
-            f"differs from closed form {closed.entries}"
-        )
-    return survivor
+    return closed
 
 
 class AdditivityReport(_Record):

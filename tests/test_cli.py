@@ -160,10 +160,6 @@ class TestClass:
         assert code == 2
         assert f"{flag} is not used" in err
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="no int-to-str digit limit on this Python",
-    )
     def test_v_eta_coefficient_past_digit_limit(self):
         # The coefficient at r = 68 has more digits than the default
         # int-to-str limit; the CLI must render it exactly and leave the
@@ -172,12 +168,9 @@ class TestClass:
         code, out, err = run_cli("class", "--locus", "V_eta", "--r", "68")
         assert code == 0, err
         assert sys.get_int_max_str_digits() == limit
-        sys.set_int_max_str_digits(0)
-        try:
+        with unlimited_int_digits():
             coeff = Fraction(json.loads(out)["result"]["class"]["coeff"])
             assert coeff == formulas.twisted_class(68).coeff
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 class TestCount:
@@ -212,10 +205,6 @@ class TestCount:
         assert (code, out) == (2, "")
         assert named in err
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="no int-to-str digit limit on this Python",
-    )
     def test_refusal_past_digit_limit(self):
         # The refusal names a 6,000-digit expected dimension, past the default
         # int-to-str limit; main must still exit 2 and leave the limit as it was.
@@ -253,9 +242,9 @@ class TestLimits:
         (("--flavor", "ramified", "--g", "12", "--r", "4", "--show-candidates"), 649),
         (("--flavor", "unramified", "--g", "24", "--r", "5"), 6225),
     ])
-    def test_only_the_survivor_becomes_a_record(self, monkeypatch, argv, candidates):
-        # Candidates stay int tuples: the closed form, the survivor and its complement
-        # are the request's only VanishingSequence records, however many candidates.
+    def test_no_candidate_becomes_a_record(self, monkeypatch, argv, candidates):
+        # Candidates stay int tuples: the closed form and its complement are the
+        # request's only VanishingSequence records, however many candidates.
         records, walked, init = [], [], bn_numerics.VanishingSequence.__init__
         enumerate_candidates = limit_series.enumerate_candidates
 
@@ -272,7 +261,7 @@ class TestLimits:
         monkeypatch.setattr(cli, "enumerate_candidates", counted_walk)
         run_json("limits", *argv)
         assert walked == [candidates]
-        assert len(records) == 3, len(records)
+        assert len(records) == 2, len(records)
 
     def test_candidates_past_ten_million_subsets(self):
         # C(47, 6) = 1.1e7 subsets; only the 6,225 candidates are generated.
@@ -719,14 +708,23 @@ class TestInvariantViolationExits:
 
     def test_no_unique_survivor_exits_one(self, monkeypatch):
         monkeypatch.setattr(limit_series, "_endpoint_filter_unramified", lambda g, r, a: True)
-        self._assert_violation("limits --flavor unramified --g 5 --r 1",
-                               "unramified_delta1 g=5 r=1: expected a unique survivor")
+        self._assert_violation(
+            "limits --flavor unramified --g 5 --r 1",
+            "unramified_delta1 g=5 r=1: survivors [(0, 8), (1, 7), (2, 6), (3, 5)]"
+            " are not exactly the closed form (3, 5)\n")
+
+    def test_no_survivor_exits_one(self, monkeypatch):
+        monkeypatch.setattr(limit_series, "_endpoint_filter_unramified", lambda g, r, a: False)
+        self._assert_violation(
+            "limits --flavor unramified --g 5 --r 1",
+            "unramified_delta1 g=5 r=1: survivors [] are not exactly the closed form (3, 5)\n")
 
     def test_survivor_off_the_closed_form_exits_one(self, monkeypatch):
         monkeypatch.setattr(limit_series, "_centered", _shifted_by_two(limit_series._centered))
         self._assert_violation(
             "limits --flavor ramified --g 5 --r 1",
-            "ramified_x_plus_y g=5 r=1: survivor (4, 6) differs from closed form (6, 8)")
+            "ramified_x_plus_y g=5 r=1: survivors [(4, 6)]"
+            " are not exactly the closed form (6, 8)\n")
 
     @pytest.mark.parametrize(
         "module,name,fake,failed",
@@ -736,8 +734,8 @@ class TestInvariantViolationExits:
              [("limit_solver", "unramified_delta1 g=2 r=0: injected")]),
             # solve_unique's own closed-form check is the suite's only comparison
             (limit_series, "_centered", _shifted_by_two(limit_series._centered),
-             [("limit_solver", "unramified_delta1 g=2 r=0: unramified_delta1 g=2 r=0: survivor"
-               " (1,) differs from closed form (3,)")]),
+             [("limit_solver", "unramified_delta1 g=2 r=0: unramified_delta1 g=2 r=0: survivors"
+               " [(1,)] are not exactly the closed form (3,)")]),
             (formulas, "count_points", _raising(IntegralityError),
              [("count_integrality", "k=1 r=1 g=3: injected")]),
             (lagrangian, "partition_for", lambda a: lagrangian.StrictPartition.of(9),
@@ -817,15 +815,13 @@ class TestFormats:
 
 @contextmanager
 def unlimited_int_digits():
-    """Lift the int-to-str digit limit (absent before Python 3.10.7) as main does."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
+    """Lift the int-to-str digit limit as main does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 _HUGE = st.builds(lambda digits, sign: sign * (10 ** digits + 7),

@@ -72,9 +72,19 @@ MUTANTS = [
      "want = space.theta_top",
      ["tests/test_cli.py::TestVerify::test_degree_table_checks_riemann_roch_not_the_table"]),
     ("solve_unique takes the first of several survivors", "src/prymbn/limit_series.py",
-     "if len(survivors) != 1:",
-     "if not survivors:",
+     "if survivors != [closed.entries]:",
+     "if closed.entries not in survivors:",
      ["tests/test_cli.py::TestInvariantViolationExits::test_no_unique_survivor_exits_one"]),
+    ("a lone survivor off the closed form passes", "src/prymbn/limit_series.py",
+     "if survivors != [closed.entries]:",
+     "if len(survivors) != 1:",
+     ["tests/test_cli.py::TestInvariantViolationExits"
+      "::test_survivor_off_the_closed_form_exits_one"]),
+    ("the solver skips its adjusted-rho re-check", "src/prymbn/limit_series.py",
+     "if rho_pointed(p.component_genus, p.r, p.degree, aspect) != p.s:",
+     "if False:",
+     ["tests/test_limit_series.py::TestSolveUnique"
+      "::test_rho_check_on_survivor_names_the_problem"]),
     ("main exits 2 on an invariant violation", "src/prymbn/cli.py",
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return INVARIANT_ERROR',
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return USAGE_ERROR',
