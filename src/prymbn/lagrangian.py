@@ -5,9 +5,11 @@ with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
 matrix of those integers, divided once by D^(2 pairs).  ``q_tilde_table`` is the
-one evaluator: it picks the algorithm by padded length, first-row expansion in
-ints over a memo of sub-partitions up to _EXPANDED, skew elimination above it;
-``q_tilde`` and ``q_two`` are its one-partition uses.
+one evaluator and picks one of three rules per partition: first-row expansion in
+ints over a memo of sub-partitions up to padded length _EXPANDED; past it, skew
+elimination, fraction-free in ints while padded length * bits(D^2) is at most
+_FRACTION_FREE_BITS and in Fraction beyond; ``q_tilde`` and ``q_two`` are its
+one-partition uses.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -79,19 +81,28 @@ def _q2_coeff(a: int, b: int, n: list[int]) -> int:
 
 # q_tilde_table expands padded lengths up to this; longer memos grow like Fibonacci numbers.
 _EXPANDED = 8
+# Past _EXPANDED it eliminates in ints while padded length * bits(D^2) is up to this: the
+# integer minors grow with both, and past about 10,000 the Fraction rule is faster.
+_FRACTION_FREE_BITS = 8000
 
 
-def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
+def _pfaffian(m: list[list[int | Fraction | None]], fraction_free: bool) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
-    Exact skew elimination in place, O(n^3) operations (Parlett-Reid; Wimmer, ACM TOMS
-    Alg. 923), which q_tilde_table runs past _EXPANDED.  For k = 0, 2, ..., n - 4 the first
-    nonzero entry of row k is swapped into column k+1 (a sign flip; a zero row gives 0), the
-    pivot m[k][k+1] joins the product, and Fraction multipliers clear pair k, k+1 from the
-    later rows and columns.  It stops at the last pivot, m[n-2][n-1] (1 at order 0).
+    Exact skew elimination in place, O(n^3) operations, which q_tilde_table runs past
+    _EXPANDED.  For k = 0, 2, ..., n - 4 the first nonzero entry of row k is swapped into
+    column k+1 (a sign flip; a zero row gives 0), and the pivot p = m[k][k+1] clears pair
+    k, k+1 from the later rows and columns by one of two update rules:
+    - Fraction (Parlett-Reid; Wimmer, ACM TOMS Alg. 923): multipliers m[k][i] / p, and p
+      joins the product;
+    - fraction_free, in ints (Knuth, "Overlapping Pfaffians"; Galbiati-Maffioli):
+      m[i][j] = (p m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) // prev, with prev the
+      pivot of the step before (1 at the first).  The entry is then the Pfaffian of the
+      principal minor on {0..k+1, i, j}, so the division is exact and the product stays 1.
+    It stops at the last pivot, m[n-2][n-1] (1 at order 0), which closes the product.
     """
     n = len(m)
-    result, sign = 1, 1
+    result, sign, prev = 1, 1, 1
     for k in range(0, n - 2, 2):
         row, a = m[k], k + 1
         b = next((j for j in range(a, n) if row[j]), None)
@@ -105,13 +116,20 @@ def _pfaffian(m: list[list[int | Fraction | None]]) -> int | Fraction:
                 m[a][t], m[b][t] = m[b][t], m[a][t]
             m[a][b] = -m[a][b]
             sign = -sign
-        pivot_row, inverse = m[a], Fraction(1, row[a])
-        result *= row[a]
-        mult = [None] * (k + 2) + [row[i] * inverse for i in range(k + 2, n)]
-        for i in range(k + 2, n):
-            mi, ci, pi = m[i], mult[i], pivot_row[i]
-            for j in range(i + 1, n):
-                mi[j] += mult[j] * pi - ci * pivot_row[j]
+        p, pivot_row = row[a], m[a]
+        if fraction_free:
+            for i in range(k + 2, n):
+                mi, ri, si = m[i], row[i], pivot_row[i]
+                for j in range(i + 1, n):
+                    mi[j] = (p * mi[j] - ri * pivot_row[j] + row[j] * si) // prev
+            prev = p
+        else:
+            result, inverse = result * p, Fraction(1, p)
+            mult = [None] * (k + 2) + [row[i] * inverse for i in range(k + 2, n)]
+            for i in range(k + 2, n):
+                mi, ci, pi = m[i], mult[i], pivot_row[i]
+                for j in range(i + 1, n):
+                    mi[j] += mult[j] * pi - ci * pivot_row[j]
     return result * sign * (m[n - 2][n - 1] if n else 1)
 
 
@@ -131,10 +149,14 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
 
     Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  The
     numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a shorter
-    series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use.  A
-    padded length up to _EXPANDED is expanded by _expand over one memo of padded parts,
-    so a partition whose sub-partitions are in it costs O(length) int products; a longer
-    one is eliminated by _pfaffian on its int matrix.  Each gets one division by D^(2 pairs).
+    series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use.  Each
+    partition gets one of three rules, by two sizes the table already has:
+    - padded length up to _EXPANDED: _expand over one memo of padded parts, so a partition
+      whose sub-partitions are in it costs O(length) int products;
+    - longer, with padded length * bits(D^2) up to _FRACTION_FREE_BITS: _pfaffian's
+      fraction-free rule on its int matrix, whose minors grow with both sizes;
+    - beyond that: _pfaffian's Fraction rule.
+    Each gets one division by D^(2 pairs).
     """
     lams, table = list(lams), []
     n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
@@ -142,7 +164,8 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
     for lam in lams:
         p = lam.parts + (0,) * (lam.length % 2)
         pf = _expand(p, q2, memo) if len(p) <= _EXPANDED else _pfaffian(
-            [[None] * (i + 1) + [q2(a, b) for b in p[i + 1 :]] for i, a in enumerate(p)])
+            [[None] * (i + 1) + [q2(a, b) for b in p[i + 1 :]] for i, a in enumerate(p)],
+            len(p) * d2.bit_length() <= _FRACTION_FREE_BITS)
         table.append(ThetaClass(Fraction(pf, d2 ** (len(p) // 2)), lam.weight, THETA_PRIME))
     return table
 
@@ -150,7 +173,7 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
 def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
-    The one-partition q_tilde_table, which picks the algorithm by padded length.
+    The one-partition q_tilde_table, which picks the rule by its padded length and D.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
     """
     return q_tilde_table([lam], c)[0]

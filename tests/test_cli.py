@@ -362,7 +362,8 @@ class TestVerify:
                 terms.append(len(parts) - 1)
             return real_expand(parts, q2, memo)
 
-        monkeypatch.setattr(lagrangian, "_pfaffian", lambda m: calls.append(len(m)) or real_pf(m))
+        monkeypatch.setattr(lagrangian, "_pfaffian", lambda m, fraction_free: calls.append(
+            len(m)) or real_pf(m, fraction_free))
         monkeypatch.setattr(lagrangian, "_expand", expand)
         results = verify_mod.run_all(24, 12, 4)
         assert all(res.passed for res in results)

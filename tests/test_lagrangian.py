@@ -98,13 +98,13 @@ def int_matrix(parts, q2):
     return [[None] * (i + 1) + [q2(a, b) for b in parts[i + 1 :]] for i, a in enumerate(parts)]
 
 
-def eliminated_q_tilde(lam, c):
-    """Q-tilde coefficient by _pfaffian at every length, on the engine's int matrix:
-    the skew elimination that q_tilde_table keeps for padded lengths past _EXPANDED."""
+def eliminated_q_tilde(lam, c, fraction_free):
+    """Q-tilde coefficient by one _pfaffian rule at every length, on the engine's int
+    matrix: the skew elimination that q_tilde_table keeps for padded lengths past _EXPANDED."""
     parts = lam.parts + (0,) * (lam.length % 2)
     n, d2 = _numerators(c, sum(parts[:2]))
     m = int_matrix(parts, lambda a, b: _q2_coeff(a, b, n))
-    return Fraction(_pfaffian(m), d2 ** (len(parts) // 2))
+    return Fraction(_pfaffian(m, fraction_free), d2 ** (len(parts) // 2))
 
 
 @st.composite
@@ -271,8 +271,9 @@ skew_matrices = st.integers(0, 5).flatmap(
 
 class TestPfaffian:
     # Integer entries drawn mostly from {0, +-1, 2} put zero pivots, row swaps and
-    # zero rows in every step, up to order 10.  A float multiplier whose value happens
-    # to be exact would still compare equal, so the result's type is checked too.
+    # zero rows in every step, up to order 10; every matrix runs through both rules.
+    # A float multiplier whose value happens to be exact would still compare equal, so
+    # the result's type is checked too: the fraction-free rule must return an int.
 
     @given(skew_matrices)
     # order 6, row 0 zero: the dividing step returns 0
@@ -290,13 +291,18 @@ class TestPfaffian:
     @example((2, [-3]))
     # order 6, pivots -1 and 2, then m45 = 2 is 0 after elimination: the last pivot gives 0
     @example((6, [-1, 1, 1, -1, 1, -1, 1, 2, 0, 0, 1, -1, -1, 1, 2]))
+    # order 8, pivot m01 = 2, then m23 is 0 after elimination: the second step swaps
+    # column 4 into column 3, and the fraction-free rule divides its entries by 2
+    @example((8, [2, 0, 1, 2, 3, 0, -1, -2, -1, 0, 2, 0, 3, 1,
+                  1, 1, 1, 0, 1, 1, 1, -2, 0, 0, 1, -1, 1, 1]))
     def test_integer_matrix_matches_laplace_expansion(self, matrix):
         n, upper = matrix
         m = skew_upper(n, upper)
         want = laplace_pfaffian(tuple(range(n)), lambda i, j: m[i][j])
-        got = _pfaffian(m)
-        assert type(got) in (int, Fraction)
-        assert got == want
+        for fraction_free, types in ((True, (int,)), (False, (int, Fraction))):
+            got = _pfaffian(skew_upper(n, upper), fraction_free)
+            assert type(got) in types
+            assert got == want
 
 
 class TestRationalChernData:
@@ -330,19 +336,25 @@ def partition_lists(max_part):
 
 class TestQTildeTable:
     # One table expands the padded lengths up to _EXPANDED along the first row over one
-    # memo, and eliminates the longer ones; the two algorithms are compared here on the
-    # same int matrices, and with the Laplace oracle.
+    # memo, and eliminates the longer ones, fraction-free or in Fraction; the three rules
+    # are compared here on the same int matrices, and with the Laplace oracle.
 
     def test_expansion_matches_elimination_to_weight_24(self):
-        # The 761 partitions of weight <= 24 (padded length <= 6), then the staircases
-        # of padded length 8 to 12, each by _expand over one memo and by _pfaffian.
-        n, _ = _numerators(chern_series_W(24), 24)
+        # The 761 partitions of weight <= 24 (padded length <= 6), the staircases of padded
+        # length 8 to 16 and two sparse long partitions, each by _expand over one memo and
+        # by both _pfaffian rules, at c_i = 1/i! to order 90 (D = 90!).
+        n, _ = _numerators(chern_series_W(90), 90)
         q2, memo = functools.cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
         lams = list(map(partition_for, verify.pointed_sequences(24)))
         assert len(lams) == 761
-        for lam in lams + [staircase(m) for m in range(7, 13)]:
+        lams += [staircase(m) for m in range(7, 17)]
+        lams += [StrictPartition.of(31, 23, 17, 13, 11, 7, 5, 3, 2, 1),
+                 StrictPartition.of(50, 40, 30, 20, 10, 9, 8, 7, 6, 5, 4)]
+        for lam in lams:
             parts = lam.parts + (0,) * (lam.length % 2)
-            assert _expand(parts, q2, memo) == _pfaffian(int_matrix(parts, q2))
+            want = _expand(parts, q2, memo)
+            assert _pfaffian(int_matrix(parts, q2), True) == want
+            assert _pfaffian(int_matrix(parts, q2), False) == want
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
         lams = list(map(partition_for, verify.pointed_sequences(16)))
@@ -362,7 +374,8 @@ class TestQTildeTable:
         c = ChernSeries((1, *tail))
         got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         assert got == [laplace_q_tilde(lam, c) for lam in lams + lams]
-        assert got == [eliminated_q_tilde(lam, c) for lam in lams + lams]
+        for fraction_free in (True, False):
+            assert got == [eliminated_q_tilde(lam, c, fraction_free) for lam in lams + lams]
 
     @given(
         partition_lists(9),
@@ -373,7 +386,8 @@ class TestQTildeTable:
         got = [q.coeff for q in q_tilde_table(lams + lams, c)]
         padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams + lams]
         assert got == [laplace_pfaffian(p, lambda a, b: literal_q2(a, b, c)) for p in padded]
-        assert got == [eliminated_q_tilde(lam, c) for lam in lams + lams]
+        for fraction_free in (True, False):
+            assert got == [eliminated_q_tilde(lam, c, fraction_free) for lam in lams + lams]
 
     def test_row_swap_does_not_leak(self):
         # (5, 4, 3, 2, 1) swaps a column past Q_(5,4) = ... = Q_(5,1) = 0 (see
@@ -548,6 +562,14 @@ class TestPointedClass:
             assert lagrangian_class_pointed(a) == twisted_pointed_class(a)
 
 
+def spy_pfaffian(monkeypatch):
+    """The list to which each later _pfaffian call appends (order, fraction_free)."""
+    calls, real_pf = [], lagrangian._pfaffian
+    monkeypatch.setattr(lagrangian, "_pfaffian", lambda m, fraction_free: calls.append(
+        (len(m), fraction_free)) or real_pf(m, fraction_free))
+    return calls
+
+
 class TestStaircaseRelation:
     def test_engine_doubles_unpointed_coefficient(self):
         for r in range(7):
@@ -561,16 +583,25 @@ class TestStaircaseRelation:
         assert lagrangian_class_twisted(r) == pointed
 
     def test_twisted_engine_eliminates_past_the_expanded_length(self, monkeypatch):
-        # staircase(11), padded to order 12, is past _EXPANDED = 8: one skew elimination
-        # of order 12 and no first-row expansion.
-        pfaffians, expansions = [], []
-        real_pf, real_expand = lagrangian._pfaffian, lagrangian._expand
-        monkeypatch.setattr(
-            lagrangian, "_pfaffian", lambda m: pfaffians.append(len(m)) or real_pf(m))
+        # staircase(11), padded to order 12, is past _EXPANDED = 8, and it reads c to 21,
+        # so D = 21! and 12 * bits(D^2) = 12 * 131 is within _FRACTION_FREE_BITS: one
+        # fraction-free elimination of order 12 and no first-row expansion.
+        pfaffians, expansions = spy_pfaffian(monkeypatch), []
+        real_expand = lagrangian._expand
         monkeypatch.setattr(lagrangian, "_expand",
                             lambda p, q2, memo: expansions.append(p) or real_expand(p, q2, memo))
         assert lagrangian_class_twisted(10).coeff == 2**11 * twisted_class(10).coeff
-        assert (pfaffians, expansions) == ([12], [])
+        assert (pfaffians, expansions) == ([(12, True)], [])
+
+    def test_large_denominators_run_the_fraction_rule(self, monkeypatch):
+        # Past _FRACTION_FREE_BITS the integer minors outgrow Fraction's gcds.  staircase(31)
+        # (r = 30) reads c to 61: 32 * bits((61!)^2) = 32 * 557.  The pointed partition
+        # (80, 9, 8, ..., 1) reads c to 89: 10 * bits((89!)^2) = 10 * 906.
+        pfaffians = spy_pfaffian(monkeypatch)
+        a = VanishingSequence((*range(9), 79))
+        assert lagrangian_class_twisted(30).coeff == 2**31 * twisted_class(30).coeff
+        assert lagrangian_class_pointed(a) == twisted_pointed_class(a)
+        assert pfaffians == [(32, False), (10, False)]
 
     def test_twisted_engine_refuses_negative_rank(self):
         with pytest.raises(ParameterError, match="rank must be non-negative"):

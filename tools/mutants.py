@@ -59,6 +59,19 @@ MUTANTS = [
      ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
       "tests/test_lagrangian.py::TestQTildeTable"
       "::test_expansion_matches_elimination_to_weight_24"]),
+    ("the fraction-free step divides by the current pivot", "src/prymbn/lagrangian.py",
+     "+ row[j] * si) // prev",
+     "+ row[j] * si) // p",
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
+    ("the fraction-free rule never carries the previous pivot", "src/prymbn/lagrangian.py",
+     "            prev = p\n",
+     "",
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
+    ("the size rule always picks the fraction-free rule", "src/prymbn/lagrangian.py",
+     "len(p) * d2.bit_length() <= _FRACTION_FREE_BITS",
+     "True",
+     ["tests/test_lagrangian.py::TestStaircaseRelation"
+      "::test_large_denominators_run_the_fraction_rule"]),
     ("q_two pads b = 0 as a part", "src/prymbn/lagrangian.py",
      "(a, b) if b else (a,)",
      "(a, b)",
