@@ -5,11 +5,11 @@ with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
 integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
 rational Chern data.  A longer strict partition gives the Pfaffian of its skew
 matrix of those integers, divided once by D^(2 pairs).  ``q_tilde_table`` is the
-one evaluator and picks one of three rules per partition: first-row expansion in
-ints over a memo of sub-partitions up to padded length _EXPANDED; past it, skew
-elimination, fraction-free in ints while padded length * bits(D^2) is at most
-_FRACTION_FREE_BITS and in Fraction beyond; ``q_tilde`` and ``q_two`` are its
-one-partition uses.
+one evaluator and picks one of three rules per partition: a table of several
+partitions expands each along its first row in ints over one shared memo; a lone
+partition is eliminated, fraction-free in ints while padded length * bits(D^2) is at
+most _FRACTION_FREE_BITS and in Fraction beyond.  ``q_tilde``, ``q_two`` and
+``p_tilde`` are its one-partition uses.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -79,18 +79,16 @@ def _q2_coeff(a: int, b: int, n: list[int]) -> int:
     return total
 
 
-# q_tilde_table expands padded lengths up to this; longer memos grow like Fibonacci numbers.
-_EXPANDED = 8
-# Past _EXPANDED it eliminates in ints while padded length * bits(D^2) is up to this: the
-# integer minors grow with both, and past about 10,000 the Fraction rule is faster.
+# A lone partition is eliminated in ints while padded length * bits(D^2) is up to this:
+# the integer minors grow with both, and past about 10,000 the Fraction rule is faster.
 _FRACTION_FREE_BITS = 8000
 
 
 def _pfaffian(m: list[list[int | Fraction | None]], fraction_free: bool) -> int | Fraction:
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
-    Exact skew elimination in place, O(n^3) operations, which q_tilde_table runs past
-    _EXPANDED.  For k = 0, 2, ..., n - 4 the first nonzero entry of row k is swapped into
+    Exact skew elimination in place, O(n^3) operations, which q_tilde_table runs on a lone
+    partition.  For k = 0, 2, ..., n - 4 the first nonzero entry of row k is swapped into
     column k+1 (a sign flip; a zero row gives 0), and the pivot p = m[k][k+1] clears pair
     k, k+1 from the later rows and columns by one of two update rules:
     - Fraction (Parlett-Reid; Wimmer, ACM TOMS Alg. 923): multipliers m[k][i] / p, and p
@@ -150,20 +148,20 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
     Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  The
     numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a shorter
     series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use.  Each
-    partition gets one of three rules, by two sizes the table already has:
-    - padded length up to _EXPANDED: _expand over one memo of padded parts, so a partition
-      whose sub-partitions are in it costs O(length) int products;
-    - longer, with padded length * bits(D^2) up to _FRACTION_FREE_BITS: _pfaffian's
-      fraction-free rule on its int matrix, whose minors grow with both sizes;
-    - beyond that: _pfaffian's Fraction rule.
-    Each gets one division by D^(2 pairs).
+    partition gets one of three rules, by facts the table already has:
+    - in a table of several partitions: _expand over one shared memo of padded parts;
+    - a lone partition: _pfaffian on its int matrix, fraction-free while padded length *
+      bits(D^2) is up to _FRACTION_FREE_BITS (the minors grow with both), else in Fraction.
+    Each gets one division by D^(2 pairs).  The expansion stays bounded when lams is closed
+    under removing parts, as verify.engine_classes's is: the memo then holds exactly the
+    padded lams, and each costs O(length) int products at any length.
     """
     lams, table = list(lams), []
     n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
     q2, memo = cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
     for lam in lams:
         p = lam.parts + (0,) * (lam.length % 2)
-        pf = _expand(p, q2, memo) if len(p) <= _EXPANDED else _pfaffian(
+        pf = _expand(p, q2, memo) if len(lams) > 1 else _pfaffian(
             [[None] * (i + 1) + [q2(a, b) for b in p[i + 1 :]] for i, a in enumerate(p)],
             len(p) * d2.bit_length() <= _FRACTION_FREE_BITS)
         table.append(ThetaClass(Fraction(pf, d2 ** (len(p) // 2)), lam.weight, THETA_PRIME))
@@ -173,7 +171,7 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
 def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
     """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
-    The one-partition q_tilde_table, which picks the rule by its padded length and D.
+    The one-partition q_tilde_table: skew elimination, its rule picked by padded length and D.
     Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
     """
     return q_tilde_table([lam], c)[0]

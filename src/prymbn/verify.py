@@ -14,7 +14,8 @@ built outside the checks, so an error there ends ``pbn verify`` with no report
 (exit 2; 1 for an invariant violation).
 ``engine_classes`` walks the pointed sequences a and takes lambda =
 partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does, but
-evaluates every lambda in one ``q_tilde_table`` (expanded up to length 8).
+evaluates every lambda in one ``q_tilde_table``: the walk is closed under removing
+parts, so the table expands each lambda over one memo of exactly its lambdas.
 ``engine_oracle`` checks it against the product formula ``eval_identity``,
 and the class rule ``_agreement`` against the pointed closed form: at
 lambda_i = a_i + 1 one formula, in two reference versions.

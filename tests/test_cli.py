@@ -345,11 +345,11 @@ class TestVerify:
 
     def test_run_all_expands_each_partition_once(self, monkeypatch):
         # The 761 partitions of weight <= 24 go through one q_tilde_table, and each
-        # staircase of r = 0..4 and P-tilde staircase of r = 1..4 through its own.  No
-        # padded length passes 6, so every partition is expanded along its first row
-        # and _pfaffian never runs.  The table's memo holds the 761 padded parts and ();
-        # the staircases' memos hold 2, 2, 5, 5, 13 and 2, 2, 5, 5 entries.  Each entry
-        # is expanded once, in its padded length less one terms: 793 entries, 2,205 terms.
+        # staircase of r = 0..4 and P-tilde staircase of r = 1..4 through its own.  The
+        # table of 761 expands every partition along its first row, over one memo that
+        # holds the 761 padded parts and (); each entry is expanded once, in its padded
+        # length less one terms: 761 entries, 2,151 terms.  Each staircase is a lone
+        # partition, so it runs one fraction-free _pfaffian of its padded order.
         from prymbn import lagrangian
         from prymbn import verify as verify_mod
 
@@ -363,13 +363,13 @@ class TestVerify:
             return real_expand(parts, q2, memo)
 
         monkeypatch.setattr(lagrangian, "_pfaffian", lambda m, fraction_free: calls.append(
-            len(m)) or real_pf(m, fraction_free))
+            (len(m), fraction_free)) or real_pf(m, fraction_free))
         monkeypatch.setattr(lagrangian, "_expand", expand)
         results = verify_mod.run_all(24, 12, 4)
         assert all(res.passed for res in results)
-        assert calls == []
-        assert [len(memo) for memo in memos.values()] == [761 + 1, 2, 2, 5, 5, 13, 2, 2, 5, 5]
-        assert (len(terms), sum(terms)) == (793, 2205)
+        assert calls == [(n, True) for n in (2, 2, 4, 4, 6, 2, 2, 4, 4)]
+        assert [len(memo) for memo in memos.values()] == [761 + 1]
+        assert (len(terms), sum(terms)) == (761, 2151)
 
     def test_run_all_computes_each_two_row_class_once_per_table(self, monkeypatch):
         # One table for the 761 partitions, one per staircase: each Q_(a,b)

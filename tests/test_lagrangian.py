@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -100,7 +101,7 @@ def int_matrix(parts, q2):
 
 def eliminated_q_tilde(lam, c, fraction_free):
     """Q-tilde coefficient by one _pfaffian rule at every length, on the engine's int
-    matrix: the skew elimination that q_tilde_table keeps for padded lengths past _EXPANDED."""
+    matrix: the skew elimination that q_tilde_table runs on a lone partition."""
     parts = lam.parts + (0,) * (lam.length % 2)
     n, d2 = _numerators(c, sum(parts[:2]))
     m = int_matrix(parts, lambda a, b: _q2_coeff(a, b, n))
@@ -241,10 +242,10 @@ class TestLaplaceOracle:
         assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
 
-    def test_zero_pivot_past_the_expanded_length_swaps_rows(self):
-        # (9, 8, ..., 1, 0) has padded length 10, so q_tilde eliminates.  Only c_4 = c_9 = 1
-        # besides c_0: the row of 9 is zero up to Q_(9,5) = Q_(9,0) = 1, and the first step
-        # must swap the column of 5 in.  The swap's sign flip gives 16; without it, -16.
+    def test_zero_pivot_at_order_10_swaps_rows(self):
+        # (9, 8, ..., 1, 0), of padded length 10, is one partition, so q_tilde eliminates.
+        # Only c_4 = c_9 = 1 besides c_0: the row of 9 is zero up to Q_(9,5) = Q_(9,0) = 1,
+        # and the first step must swap the column of 5 in.  The swap's sign flip gives 16; without it, -16.
         lam, c = staircase(9), ChernSeries(tuple(int(i in (0, 4, 9)) for i in range(18)))
         assert [q_two(9, b, c).coeff for b in range(8, -1, -1)] == [0, 0, 0, 0, 1, 0, 0, 0, 1]
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 16
@@ -335,9 +336,9 @@ def partition_lists(max_part):
 
 
 class TestQTildeTable:
-    # One table expands the padded lengths up to _EXPANDED along the first row over one
-    # memo, and eliminates the longer ones, fraction-free or in Fraction; the three rules
-    # are compared here on the same int matrices, and with the Laplace oracle.
+    # A table of several partitions expands each along the first row over one memo, and
+    # a lone partition is eliminated, fraction-free or in Fraction; the three rules are
+    # compared here on the same int matrices, and with the Laplace oracle.
 
     def test_expansion_matches_elimination_to_weight_24(self):
         # The 761 partitions of weight <= 24 (padded length <= 6), the staircases of padded
@@ -355,6 +356,23 @@ class TestQTildeTable:
             want = _expand(parts, q2, memo)
             assert _pfaffian(int_matrix(parts, q2), True) == want
             assert _pfaffian(int_matrix(parts, q2), False) == want
+
+    def test_a_table_closed_under_removing_parts_expands_only_its_parts(self, monkeypatch):
+        # The 1,024 sub-partitions of staircase(10) reach padded length 10.  Each one's
+        # first-row expansion removes two parts, which leaves another of them: the memo
+        # holds exactly their padded parts, and no partition is eliminated.
+        lams = [StrictPartition(parts) for k in range(11)
+                for parts in itertools.combinations(range(10, 0, -1), k)]
+        assert len(lams) == 1024
+        pfaffians, memos = spy_pfaffian(monkeypatch), {}
+        real_expand = lagrangian._expand
+        monkeypatch.setattr(lagrangian, "_expand", lambda p, q2, memo: memos.update(
+            {id(memo): memo}) or real_expand(p, q2, memo))
+        got = q_tilde_table(lams, chern_series_W(19))
+        assert [q.coeff for q in got] == [eval_identity(lam) for lam in lams]
+        assert pfaffians == []
+        [memo] = memos.values()
+        assert set(memo) == {lam.parts + (0,) * (lam.length % 2) for lam in lams}
 
     def test_matches_q_tilde_and_laplace_to_weight_16(self):
         lams = list(map(partition_for, verify.pointed_sequences(16)))
@@ -582,16 +600,18 @@ class TestStaircaseRelation:
         pointed = lagrangian_class_pointed(VanishingSequence(tuple(range(r + 1))))
         assert lagrangian_class_twisted(r) == pointed
 
-    def test_twisted_engine_eliminates_past_the_expanded_length(self, monkeypatch):
-        # staircase(11), padded to order 12, is past _EXPANDED = 8, and it reads c to 21,
-        # so D = 21! and 12 * bits(D^2) = 12 * 131 is within _FRACTION_FREE_BITS: one
-        # fraction-free elimination of order 12 and no first-row expansion.
+    def test_twisted_engine_eliminates_its_lone_staircase(self, monkeypatch):
+        # staircase(r + 1) is a table of one partition, so it is eliminated, never expanded,
+        # at every padded order 2, 2, 4, 4, ..., 12.  It reads c to 2r + 1, so D = (2r + 1)!
+        # and at r = 10 order * bits(D^2) = 12 * 131 is within _FRACTION_FREE_BITS.
         pfaffians, expansions = spy_pfaffian(monkeypatch), []
         real_expand = lagrangian._expand
         monkeypatch.setattr(lagrangian, "_expand",
                             lambda p, q2, memo: expansions.append(p) or real_expand(p, q2, memo))
-        assert lagrangian_class_twisted(10).coeff == 2**11 * twisted_class(10).coeff
-        assert (pfaffians, expansions) == ([(12, True)], [])
+        for r in range(11):
+            assert lagrangian_class_twisted(r).coeff == 2 ** (r + 1) * twisted_class(r).coeff
+        assert pfaffians == [(r + 1 + (r + 1) % 2, True) for r in range(11)]
+        assert expansions == []
 
     def test_large_denominators_run_the_fraction_rule(self, monkeypatch):
         # Past _FRACTION_FREE_BITS the integer minors outgrow Fraction's gcds.  staircase(31)

@@ -1,5 +1,6 @@
 import ast
 import copy
+import importlib.util
 import inspect
 import os
 import pickle
@@ -235,3 +236,23 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def _tool(name):
+    """The module tools/<name>.py, imported from the file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_library_sweep_calls_every_public_name():
+    # A public name that the library deck never calls would change unswept.
+    called = {fn.__name__ for fn, _ in _tool("sweep").library_deck()}
+    assert set(prymbn.__all__) - called == set()
+
+
+def test_each_mutant_snippet_occurs_once_in_its_file():
+    # The gate refuses a snippet that matches no place or several; this finds it in seconds.
+    for what, path, snippet, *_ in _tool("mutants").MUTANTS:
+        assert (ROOT / path).read_text().count(snippet) == 1, what

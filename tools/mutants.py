@@ -10,8 +10,10 @@ where the snippet occurs in the file by its replacement, and runs the named
 test nodes there with ``pytest -x -q --hypothesis-seed=0``.  ``pyproject.toml``
 puts ``src`` on pytest's ``pythonpath``, so the copy's code is the code under
 test.  Before the mutants, the named nodes run once on an unchanged copy and
-must pass.  The fixed seed gives every Hypothesis test the same draws on the
-clean copy and on each mutant, so two runs print the same lines.
+must pass.  The mutants then run in a pool of ``os.cpu_count()`` threads, each
+waiting on its own pytest process in its own copy; their lines print in table
+order.  The fixed seed gives every Hypothesis test the same draws on the clean
+copy and on each mutant, so two runs print the same lines.
 
 The gate exits 1 if a mutant survives (its tests pass), if a snippet matches
 no place or more than one place, or if pytest ends otherwise than with
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +55,7 @@ MUTANTS = [
      "",
      ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
       "tests/test_lagrangian.py::TestLaplaceOracle"
-      "::test_zero_pivot_past_the_expanded_length_swaps_rows"]),
+      "::test_zero_pivot_at_order_10_swaps_rows"]),
     ("elimination drops its final pivot", "src/prymbn/lagrangian.py",
      "return result * sign * (m[n - 2][n - 1] if n else 1)",
      "return result * sign",
@@ -127,15 +130,17 @@ MUTANTS = [
      "p = lam.parts",
      ["tests/test_lagrangian.py::TestShiftedTableaux"
       "::test_table_counts_shifted_tableaux_to_weight_20"]),
-    ("every partition expands, at any padded length", "src/prymbn/lagrangian.py",
-     "if len(p) <= _EXPANDED else",
+    ("a lone partition expands", "src/prymbn/lagrangian.py",
+     "if len(lams) > 1 else",
      "if True else",
      ["tests/test_lagrangian.py::TestStaircaseRelation"
-      "::test_twisted_engine_eliminates_past_the_expanded_length"]),
-    ("every partition is eliminated, at any padded length", "src/prymbn/lagrangian.py",
-     "if len(p) <= _EXPANDED else",
+      "::test_twisted_engine_eliminates_its_lone_staircase"]),
+    ("a table eliminates", "src/prymbn/lagrangian.py",
+     "if len(lams) > 1 else",
      "if False else",
-     ["tests/test_cli.py::TestVerify::test_run_all_expands_each_partition_once"]),
+     ["tests/test_cli.py::TestVerify::test_run_all_expands_each_partition_once",
+      "tests/test_lagrangian.py::TestQTildeTable"
+      "::test_a_table_closed_under_removing_parts_expands_only_its_parts"]),
     ("the first-row expansion forgets its memo", "src/prymbn/lagrangian.py",
      "if parts not in memo:",
      "if True:",
@@ -208,8 +213,22 @@ def _mutate(where: Path, path: str, snippet: str, replacement: str) -> str | Non
     return None
 
 
+def _kill(where: Path, path: str, snippet: str, replacement: str, named: list[str]) -> str | None:
+    """Run one mutant in a fresh copy at where; None if its tests fail, else the error."""
+    _copy(where)
+    error = _mutate(where, path, snippet, replacement)
+    if error is None:
+        done = _pytest(where, named)
+        if done.returncode == 0:
+            error = "survived"
+        elif done.returncode != 1:  # not "tests failed": a bad node id, an import error
+            error = f"pytest exited {done.returncode}\n{done.stdout}{done.stderr}"
+    shutil.rmtree(where)
+    return error
+
+
 def main() -> int:
-    failures = []
+    failures, workers = [], os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         start = time.perf_counter()
         clean = Path(tmp) / "clean"
@@ -220,24 +239,18 @@ def main() -> int:
             print(done.stdout + done.stderr)
             print(f"mutants: pytest exited {done.returncode} on the unchanged code, not 0")
             return 1
-        for i, (what, path, snippet, replacement, named) in enumerate(MUTANTS):
-            where = Path(tmp) / f"mutant{i}"
-            _copy(where)
-            error = _mutate(where, path, snippet, replacement)
-            if error is None:
-                done = _pytest(where, named)
-                if done.returncode == 0:
-                    error = "survived"
-                elif done.returncode != 1:  # not "tests failed": a bad node id, an import error
-                    error = f"pytest exited {done.returncode}\n{done.stdout}{done.stderr}"
-            shutil.rmtree(where)
-            print(f"{'killed  ' if error is None else 'FAILED  '}{what}")
-            if error is not None:
-                failures.append(f"{what}: {error}")
+        with ThreadPoolExecutor(workers) as pool:
+            errors = pool.map(lambda i: _kill(Path(tmp) / f"mutant{i}", *MUTANTS[i][1:]),
+                              range(len(MUTANTS)))
+            for (what, *_), error in zip(MUTANTS, errors):
+                print(f"{'killed  ' if error is None else 'FAILED  '}{what}")
+                if error is not None:
+                    failures.append(f"{what}: {error}")
         elapsed = time.perf_counter() - start
     for failure in failures:
         print(f"mutants: {failure}")
-    print(f"mutants: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} killed in {elapsed:.1f} s")
+    print(f"mutants: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} killed in {elapsed:.1f} s"
+          f" on {workers} workers")
     return 1 if failures else 0
 
 
