@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import formulas, theta_ring, verify
+from . import verify
 from .bn_numerics import VanishingSequence
 from .errors import InvariantViolationError, ParameterError, PrymBNError, _at_least
 from .limit_series import LimitProblem, enumerate_candidates, solve_unique
@@ -105,13 +105,7 @@ def _cmd_class(args) -> _Reply:
 
 
 def _cmd_count(args) -> _Reply:
-    locus = verify.LOCI["V_eta"]
-    rep = locus.dim(args.g, args.k, args.r)
-    if rep.value != 0:
-        raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count"
-                             f" at g={args.g}, k={args.k}, r={args.r}")
-    space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, args.g, args.k)
-    n = formulas.count_points(locus.closed_form(args.r), space)
+    n, space = verify.count(args.g, args.k, args.r)
     result = {"count": n, "theta_top": space.theta_top}
     return result, ["cardinality of the zero-dimensional twisted locus"]
 
@@ -276,9 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         sys.set_int_max_str_digits(limit)
     sys.stdout.write(text)
-    if args.subcommand == "verify" and not result["all_passed"]:
-        return INVARIANT_ERROR
-    return 0
+    return INVARIANT_ERROR if args.subcommand == "verify" and not result["all_passed"] else 0
 
 
 def entrypoint() -> None:

@@ -1,9 +1,9 @@
 """The table of locus facts, and the cross-module identity suites.
 
-``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form
-and engine with their citations, and the engine/closed-form ratio.
-``LIMIT_FLAVORS`` maps each ``pbn limits --flavor`` name to its limit_series
-flavor.  The CLI's command table reads its choices and locus flags from them.
+``LOCI`` holds one ``Locus`` per locus: flags, dimension report, closed form and engine
+with their citations, the engine/closed-form ratio and the torsor of ``count``, the one
+count rule, which ``pbn count`` runs and ``count_integrality`` checks.  ``LIMIT_FLAVORS``
+maps each ``pbn limits --flavor`` name to its limit_series flavor; the CLI reads both.
 Every library function is called through its module, so a wrapper put there
 (a monkeypatch, a tracer) sees the call.
 
@@ -30,15 +30,15 @@ from functools import wraps
 
 from . import bn_numerics, formulas, lagrangian, limit_series, theta_ring
 from .bn_numerics import VanishingSequence
-from .errors import PrymBNError, _Record
+from .errors import ParameterError, PrymBNError, _Record
 from .lagrangian import StrictPartition
 
 
-Locus = namedtuple("Locus", "flags dim closed_form citation engine engine_citation ratio",
-                   defaults=(None, None, "", None, "", lambda *values: 1))
+Locus = namedtuple("Locus", "flags dim closed_form citation engine engine_citation ratio torsor",
+                   defaults=(None, None, "", None, "", lambda *values: 1, None))
 Locus.__doc__ = """One locus: its CLI flags besides dim's --g/--k, its dimension report at
 (g, k, *values), its closed-form and engine classes at the values with their citations,
-and the engine/closed-form coefficient ratio; a fact the locus lacks is None."""
+the engine/closed-form coefficient ratio and the torsor of its count; a fact it lacks is None."""
 
 
 _P_TILDE = "P-tilde Pfaffian evaluation at c_i = theta'^i/i!"
@@ -54,7 +54,8 @@ LOCI = {
     "V_eta": Locus(
         ("r",), lambda *v: bn_numerics.expected_dim_V_eta(*v),
         lambda r: formulas.twisted_class(r), "closed-form class of the twisted locus",
-        lambda r: lagrangian.lagrangian_class_twisted(r), _Q_TILDE, lambda r: 2 ** (r + 1)),
+        lambda r: lagrangian.lagrangian_class_twisted(r), _Q_TILDE, lambda r: 2 ** (r + 1),
+        theta_ring.RAMIFIED_TWISTED),
     "V_eta_pointed": Locus(
         ("a",), lambda *v: bn_numerics.expected_dim_V_eta_pointed(*v),
         lambda a: formulas.twisted_pointed_class(a),
@@ -186,16 +187,27 @@ def dimension_zero_genus(k: int, r: int) -> int:
     return (r + 1) * (r + 2) // 2 + 1 - k
 
 
+def count(g: int, k: int, r: int) -> tuple[int, theta_ring.PrymSpace]:
+    """The count rule of ``pbn count``: the degree of the twisted closed form on its torsor,
+    and that torsor.  A ParameterError names any expected dimension but 0."""
+    locus = LOCI["V_eta"]
+    rep = locus.dim(g, k, r)
+    if rep.value != 0:
+        raise ParameterError(f"expected dimension is {rep.value}, not 0; no finite count"
+                             f" at g={g}, k={k}, r={r}")
+    space = theta_ring.make_space(locus.torsor, g, k)
+    return formulas.count_points(locus.closed_form(r), space), space
+
+
 def _positive_count(k: int, r: int, g: int) -> str | None:
-    space = theta_ring.make_space(theta_ring.RAMIFIED_TWISTED, g, k)
-    n = formulas.count_points(formulas.twisted_class(r), space)
+    n, _ = count(g, k, r)
     return None if n > 0 else f"count {n}"
 
 
 @_suite("k={} r={} g={}", _positive_count)
 def suite_count_integrality(max_r: int) -> Iterator[tuple]:
-    """Counts at the dimension-zero genus are positive integers (calibrated k)."""
-    for k in (k for flavor, k in _CALIBRATED if flavor == theta_ring.RAMIFIED_TWISTED):
+    """``count`` at the dimension-zero genus is a positive integer (calibrated k)."""
+    for k in (k for flavor, k in _CALIBRATED if flavor == LOCI["V_eta"].torsor):
         for r in range(max_r + 1):
             g = dimension_zero_genus(k, r)
             if g >= 2:  # the genus-2 domain of the torsor table
@@ -218,7 +230,7 @@ def suite_limit_solver(max_g: int, max_r: int) -> Iterator[tuple]:
 def _w_matches_v(g: int, r: int) -> str | None:
     a = VanishingSequence(tuple(2 * i for i in range(r + 1)))
     got = limit_series.w_locus_expected_dim(g - 1, g + r - 1, a)
-    want = bn_numerics.expected_dim_V(g, 0, r).value
+    want = LOCI["V"].dim(g, 0, r).value
     return None if got == want else f"{got} != {want}"
 
 

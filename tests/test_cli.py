@@ -205,6 +205,17 @@ class TestCount:
         assert (code, out) == (2, "")
         assert named in err
 
+    def test_one_count_rule_serves_count_and_verify(self, monkeypatch):
+        # pbn count and the count_integrality suite run verify.count: one fault there
+        # shows in both.
+        original = verify.count
+        monkeypatch.setattr(verify, "count", lambda g, k, r: (0, original(g, k, r)[1]))
+        rec = run_json("count", "--g", "6", "--k", "1", "--r", "2")
+        assert rec["result"] == {"count": 0, "theta_top": 2**6 * 720}
+        result = verify.suite_count_integrality(2)
+        assert (result.passed, result.cases) == (False, 1)
+        assert result.counterexample == "k=1 r=1 g=3: count 0"
+
     def test_refusal_past_digit_limit(self):
         # The refusal names a 6,000-digit expected dimension, past the default
         # int-to-str limit; main must still exit 2 and leave the limit as it was.

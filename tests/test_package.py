@@ -1,5 +1,6 @@
 import ast
 import copy
+import hashlib
 import importlib.util
 import inspect
 import os
@@ -250,6 +251,15 @@ def test_library_sweep_calls_every_public_name():
     # A public name that the library deck never calls would change unswept.
     called = {fn.__name__ for fn, _ in _tool("sweep").library_deck()}
     assert set(prymbn.__all__) - called == set()
+
+
+def test_library_deck_matches_its_pin():
+    # The library deck reads no argparse text, so its pin holds on every Python version.
+    sweep = _tool("sweep")
+    total = hashlib.md5()
+    for fn, args in sweep.library_deck():
+        total.update(sweep.call(fn, args))
+    assert total.hexdigest() == sweep.LIBRARY_PIN
 
 
 def test_each_mutant_snippet_occurs_once_in_its_file():

@@ -174,6 +174,15 @@ MUTANTS = [
      'f"{label.format(*args)}: {failure}"',
      "str(failure)",
      ["tests/test_cli.py::TestInvariantViolationExits::test_failed_suite_exits_one"]),
+    ("the count rule skips its dimension refusal", "src/prymbn/verify.py",
+     "if rep.value != 0:",
+     "if False:",
+     ["tests/test_cli.py::TestCount::test_nonzero_dimension_refused"]),
+    ("the count rule builds its torsor one genus up", "src/prymbn/verify.py",
+     "make_space(locus.torsor, g, k)",
+     "make_space(locus.torsor, g + 1, k)",
+     ["tests/test_cli.py::TestCount::test_counts",
+      "tests/test_cli.py::TestVerify::test_small_bounds_pass"]),
     ("the Laplace oracle drops the alternating sign", "tests/test_lagrangian.py",
      "(-1) ** (i - 1)",
      "(-1) ** i",
