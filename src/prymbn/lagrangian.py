@@ -1,15 +1,15 @@
 """Schur Q-tilde / P-tilde Pfaffian engine for Lagrangian degeneracy classes.
 
 The two-row classes Q_(a,b) are integer sums over one common denominator:
-with D the lcm of the denominators of c_0..c_top, each n_i = c_i D is an
-integer, so Q_(a,b) D^2 is a signed sum of products n_i n_j, exact for any
-rational Chern data.  A longer strict partition gives the Pfaffian of its skew
-matrix of those integers, divided once by D^(2 pairs).  ``q_tilde_table`` is the
-one evaluator and picks one of three rules per partition: a table of several
-partitions expands each along its first row in ints over one shared memo; a lone
-partition is eliminated, fraction-free in ints while padded length * bits(D^2) is at
-most _FRACTION_FREE_BITS and in Fraction beyond.  ``q_tilde``, ``q_two`` and
-``p_tilde`` are its one-partition uses.
+``_two_row`` takes D as the lcm of the denominators of c_0..c_top and builds each
+integer n_i = c_i D on its first read, so Q_(a,b) D^2 is a signed sum of products
+n_i n_j, exact for any rational Chern data.  A longer strict partition gives the
+Pfaffian of its skew matrix of those integers, divided once by D^(2 pairs).
+``q_tilde_table`` is the one evaluator and picks one of three rules per partition: a
+table of several partitions expands each along its first row in ints over one shared
+memo; a lone partition is eliminated, fraction-free in ints while padded length *
+bits(D^2) is at most _FRACTION_FREE_BITS and in Fraction beyond.  ``q_tilde``,
+``q_two`` and ``p_tilde`` are its one-partition uses.
 Evaluated at c_i = theta'^i/i!, the engine reproduces the closed-form
 coefficients in ``formulas``; the product formula ``eval_identity`` is the
 Pfaffian-free reference for one partition, the pointed closed form of
@@ -61,21 +61,22 @@ def staircase(m: int) -> StrictPartition:
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
-def _numerators(c: ChernSeries, top: int) -> tuple[list[int], int]:
-    """(n, D^2), D = lcm of the denominators of c_0..c_top (refused if c stops sooner):
-    the integers n_i = c_i D and the one denominator of every Q_(a,b), a + b <= top."""
+def _two_row(c: ChernSeries, top: int) -> tuple[Callable[[int, int], int], int]:
+    """(q2, D^2), D = lcm of the denominators of c_0..c_top (refused if c stops sooner):
+    q2(a, b) = Q_(a,b) D^2 for a + b <= top, memoized, over n(i) = c_i D, each an
+    integer built on its first read, so a sparse partition builds only what it reads."""
     if c.truncation < top:
         raise ParameterError(f"Chern series truncated at {c.truncation}, need order {top}")
-    coeffs = c.coeffs[: top + 1]
-    d = math.lcm(*(q.denominator for q in coeffs))
-    return [q.numerator * (d // q.denominator) for q in coeffs], d * d
+    d = math.lcm(*(q.denominator for q in c.coeffs[: top + 1]))
+    n = cache(lambda i: c.coeffs[i].numerator * (d // c.coeffs[i].denominator))
+    return cache(lambda a, b: _q2_coeff(a, b, n)), d * d
 
 
-def _q2_coeff(a: int, b: int, n: list[int]) -> int:
-    """Q_(a,b) D^2 = n_a n_b + 2 sum_{j=1}^{b} (-1)^j n_{a+j} n_{b-j}, for n_i = c_i D."""
-    total = n[a] * n[b]
+def _q2_coeff(a: int, b: int, n: Callable[[int], int]) -> int:
+    """Q_(a,b) D^2 = n_a n_b + 2 sum_{j=1}^{b} (-1)^j n_{a+j} n_{b-j}, for n(i) = c_i D."""
+    total = n(a) * n(b)
     for j in range(1, b + 1):
-        total += 2 * (-1) ** j * n[a + j] * n[b - j]
+        total += 2 * (-1) ** j * n(a + j) * n(b - j)
     return total
 
 
@@ -145,9 +146,9 @@ def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -
 def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
     """Q-tilde of each partition in lams, over one Chern series: the one evaluator.
 
-    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  The
-    numerators reach order max lambda_1 + lambda_2 over lams (_numerators refuses a shorter
-    series).  One call memoizes the two-row rule, each int Q_(a,b) D^2 on first use.  Each
+    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  One
+    call reads the series to order max lambda_1 + lambda_2 over lams through _two_row, which
+    refuses a shorter series and builds each n_i and each int Q_(a,b) D^2 on first read.  Each
     partition gets one of three rules, by facts the table already has:
     - in a table of several partitions: _expand over one shared memo of padded parts;
     - a lone partition: _pfaffian on its int matrix, fraction-free while padded length *
@@ -156,9 +157,8 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
     under removing parts, as verify.engine_classes's is: the memo then holds exactly the
     padded lams, and each costs O(length) int products at any length.
     """
-    lams, table = list(lams), []
-    n, d2 = _numerators(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
-    q2, memo = cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
+    lams, table, memo = list(lams), [], {(): 1}
+    q2, d2 = _two_row(c, max((sum(lam.parts[:2]) for lam in lams), default=0))
     for lam in lams:
         p = lam.parts + (0,) * (lam.length % 2)
         pf = _expand(p, q2, memo) if len(lams) > 1 else _pfaffian(

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
@@ -143,6 +144,17 @@ class TestClass:
         # The Laplace recursion never finished here (39!! terms).
         rec = run_json("class", "--locus", "V_unramified", "--r", "40", "--engine")
         assert rec["result"]["engine_agrees"] is True
+
+    def test_sparse_pointed_engine_within_3s(self):
+        # (6001, 3, 2, 1) reads 10 of the 6,005 numerators up to order 6004 and builds only
+        # those: 0.2-0.3 s in-process, where building every one took 9-10 s.
+        start = time.monotonic()
+        code, out, err = run_cli(
+            "class", "--locus", "V_eta_pointed", "--a", "0,1,2,6000", "--engine")
+        elapsed = time.monotonic() - start
+        assert code == 0, err
+        assert '"engine_agrees": true' in out
+        assert elapsed < 3.0
 
     def test_v_eta_engine_ratio_at_rank_40(self):
         rec = run_json("class", "--locus", "V_eta", "--r", "40", "--engine")
@@ -392,23 +404,23 @@ class TestVerify:
             padded = [lam.parts + (0,) * (lam.length % 2) for lam in lams]
             return {(a, b) for p in padded for i, a in enumerate(p) for b in p[i + 1 :]}
 
-        q2, numerators = [], []
-        real_q2, real_num = lagrangian._q2_coeff, lagrangian._numerators
+        q2, tops = [], []
+        real_q2, real_two_row = lagrangian._q2_coeff, lagrangian._two_row
         monkeypatch.setattr(
             lagrangian, "_q2_coeff", lambda a, b, n: q2.append((a, b)) or real_q2(a, b, n))
         monkeypatch.setattr(
-            lagrangian, "_numerators", lambda c, top: numerators.append(top) or real_num(c, top))
+            lagrangian, "_two_row", lambda c, top: tops.append(top) or real_two_row(c, top))
         verify_mod.engine_classes(24)
         lams = map(lagrangian.partition_for, verify_mod.pointed_sequences(24))
         assert sorted(q2) == sorted(pairs(lams))
-        assert (len(q2), numerators) == (156, [24])
+        assert (len(q2), tops) == (156, [24])
 
         q2.clear()
-        numerators.clear()
+        tops.clear()
         assert all(res.passed for res in verify_mod.run_all(24, 12, 4))
         staircases = [lagrangian.staircase(m) for m in (1, 2, 3, 4, 5, 1, 2, 3, 4)]
         assert len(q2) == 156 + sum(len(pairs([lam])) for lam in staircases)
-        assert numerators == [24] + [sum(lam.parts[:2]) for lam in staircases]
+        assert tops == [24] + [sum(lam.parts[:2]) for lam in staircases]
 
     @pytest.mark.parametrize("bounds", [(0, 0, 0), (1, 1, 0), (12, 8, 3), (24, 12, 4)])
     def test_run_all_matches_standalone_suites(self, bounds):

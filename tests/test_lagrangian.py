@@ -22,9 +22,8 @@ from prymbn.formulas import (
 from prymbn.lagrangian import (
     StrictPartition,
     _expand,
-    _numerators,
     _pfaffian,
-    _q2_coeff,
+    _two_row,
     eval_identity,
     lagrangian_class_pointed,
     lagrangian_class_twisted,
@@ -103,9 +102,8 @@ def eliminated_q_tilde(lam, c, fraction_free):
     """Q-tilde coefficient by one _pfaffian rule at every length, on the engine's int
     matrix: the skew elimination that q_tilde_table runs on a lone partition."""
     parts = lam.parts + (0,) * (lam.length % 2)
-    n, d2 = _numerators(c, sum(parts[:2]))
-    m = int_matrix(parts, lambda a, b: _q2_coeff(a, b, n))
-    return Fraction(_pfaffian(m, fraction_free), d2 ** (len(parts) // 2))
+    q2, d2 = _two_row(c, sum(parts[:2]))
+    return Fraction(_pfaffian(int_matrix(parts, q2), fraction_free), d2 ** (len(parts) // 2))
 
 
 @st.composite
@@ -344,8 +342,7 @@ class TestQTildeTable:
         # The 761 partitions of weight <= 24 (padded length <= 6), the staircases of padded
         # length 8 to 16 and two sparse long partitions, each by _expand over one memo and
         # by both _pfaffian rules, at c_i = 1/i! to order 90 (D = 90!).
-        n, _ = _numerators(chern_series_W(90), 90)
-        q2, memo = functools.cache(lambda a, b: _q2_coeff(a, b, n)), {(): 1}
+        (q2, _), memo = _two_row(chern_series_W(90), 90), {(): 1}
         lams = list(map(partition_for, verify.pointed_sequences(24)))
         assert len(lams) == 761
         lams += [staircase(m) for m in range(7, 17)]
@@ -356,6 +353,17 @@ class TestQTildeTable:
             want = _expand(parts, q2, memo)
             assert _pfaffian(int_matrix(parts, q2), True) == want
             assert _pfaffian(int_matrix(parts, q2), False) == want
+
+    def test_a_sparse_partition_builds_only_the_n_i_it_reads(self, monkeypatch):
+        # (301, 3, 2, 1) reads n_i at i = 0..5 and 301..304, 10 of the 305 up to order
+        # lambda_1 + lambda_2 = 304: the two-row rule builds each n_i on its first read.
+        numerators, real_q2 = set(), lagrangian._q2_coeff
+        monkeypatch.setattr(
+            lagrangian, "_q2_coeff", lambda a, b, n: numerators.add(n) or real_q2(a, b, n))
+        lam = StrictPartition.of(301, 3, 2, 1)
+        assert q_tilde(lam, chern_series_W(304)).coeff == eval_identity(lam)
+        [n] = numerators
+        assert n.cache_info().currsize == 10
 
     def test_a_table_closed_under_removing_parts_expands_only_its_parts(self, monkeypatch):
         # The 1,024 sub-partitions of staircase(10) reach padded length 10.  Each one's

@@ -120,6 +120,12 @@ MUTANTS = [
      "cache(lambda a, b: _q2_coeff(a, b, n))",
      "(lambda a, b: _q2_coeff(a, b, n))",
      ["tests/test_cli.py::TestVerify::test_run_all_computes_each_two_row_class_once_per_table"]),
+    ("the two-row rule builds every numerator up front", "src/prymbn/lagrangian.py",
+     "    return cache(lambda a, b: _q2_coeff(a, b, n)), d * d",
+     "    [n(i) for i in range(top + 1)]\n"
+     "    return cache(lambda a, b: _q2_coeff(a, b, n)), d * d",
+     ["tests/test_lagrangian.py::TestQTildeTable"
+      "::test_a_sparse_partition_builds_only_the_n_i_it_reads"]),
     ("the first-row expansion flips its alternating sign", "src/prymbn/lagrangian.py",
      "(-1) ** j * q2(a, b)",
      "(-1) ** (j + 1) * q2(a, b)",
