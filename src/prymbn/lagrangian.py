@@ -89,9 +89,9 @@ def _pfaffian(m: list[list[int | Fraction | None]], fraction_free: bool) -> int 
     """Pfaffian of the even-order skew matrix with upper triangle m[i][j], j > i.
 
     Exact skew elimination in place, O(n^3) operations, which q_tilde_table runs on a lone
-    partition.  For k = 0, 2, ..., n - 4 the first nonzero entry of row k is swapped into
-    column k+1 (a sign flip; a zero row gives 0), and the pivot p = m[k][k+1] clears pair
-    k, k+1 from the later rows and columns by one of two update rules:
+    partition.  For k = 0, 2, ..., n - 4 a zero pivot m[k][k+1] gets row and column b, the first
+    with m[k][b] != 0, added to k+1: det 1, and both rules are linear in each row and its column,
+    so Pf is unchanged (a zero row gives 0).  Then p = m[k][k+1] clears pair k, k+1 by one of:
     - Fraction (Parlett-Reid; Wimmer, ACM TOMS Alg. 923): multipliers m[k][i] / p, and p
       joins the product;
     - fraction_free, in ints (Knuth, "Overlapping Pfaffians"; Galbiati-Maffioli):
@@ -101,20 +101,18 @@ def _pfaffian(m: list[list[int | Fraction | None]], fraction_free: bool) -> int 
     It stops at the last pivot, m[n-2][n-1] (1 at order 0), which closes the product.
     """
     n = len(m)
-    result, sign, prev = 1, 1, 1
+    result, prev = 1, 1
     for k in range(0, n - 2, 2):
         row, a = m[k], k + 1
-        b = next((j for j in range(a, n) if row[j]), None)
-        if b is None:
-            return 0
-        if b != a:
-            row[a], row[b] = row[b], row[a]
+        if not row[a]:  # add row and column b, with m[k][b] != 0, to a: det 1, so Pf is unchanged
+            b = next((j for j in range(a + 1, n) if row[j]), None)
+            if b is None:
+                return 0
+            row[a] = row[b]
             for t in range(a + 1, b):
-                m[a][t], m[t][b] = -m[t][b], -m[a][t]
+                m[a][t] -= m[t][b]
             for t in range(b + 1, n):
-                m[a][t], m[b][t] = m[b][t], m[a][t]
-            m[a][b] = -m[a][b]
-            sign = -sign
+                m[a][t] += m[b][t]
         p, pivot_row = row[a], m[a]
         if fraction_free:
             for i in range(k + 2, n):
@@ -129,7 +127,7 @@ def _pfaffian(m: list[list[int | Fraction | None]], fraction_free: bool) -> int 
                 mi, ci, pi = m[i], mult[i], pivot_row[i]
                 for j in range(i + 1, n):
                     mi[j] += mult[j] * pi - ci * pivot_row[j]
-    return result * sign * (m[n - 2][n - 1] if n else 1)
+    return result * (m[n - 2][n - 1] if n else 1)
 
 
 def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -> int:

@@ -211,7 +211,7 @@ class TestQTilde:
 
 class TestLaplaceOracle:
     # Chern data drawn mostly from {0, +-1, 2} makes zero pivots common: a
-    # two-row class that vanishes forces a row swap, a vanishing row a zero.
+    # two-row class that vanishes forces a pivot fix-up, a vanishing row a zero.
     # The tail runs from lambda_1 + lambda_2, the shortest q_tilde accepts, to |lambda|.
     @given(st.sets(st.integers(1, 11), min_size=1, max_size=7), st.data())
     def test_engine_matches_laplace_expansion(self, parts, data):
@@ -226,10 +226,10 @@ class TestLaplaceOracle:
         c = ChernSeries((1, *tail))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c)
 
-    def test_zero_leading_pivot_swaps_rows(self):
+    def test_zero_leading_pivot_is_fixed_up(self):
         # Only c_5 = 1 besides c_0: Q_(5,b) = c_b, so row 0 of the order-6 matrix of
-        # (5, 4, 3, 2, 1, 0) is zero up to Q_(5,0) = 1, and the dividing step must
-        # swap that column in.  The swap's sign flip gives -4; without it, +4.
+        # (5, 4, 3, 2, 1, 0) is zero up to Q_(5,0) = 1, and the dividing step must add
+        # that row and column to row and column 1, across the three between them: -4.
         lam, c = StrictPartition.of(5, 4, 3, 2, 1), ChernSeries((1, 0, 0, 0, 0, 1, 0, 0, 0, 0))
         assert [q_two(5, b, c).coeff for b in (4, 3, 2, 1, 0)] == [0, 0, 0, 0, 1]
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == -4
@@ -240,10 +240,10 @@ class TestLaplaceOracle:
         assert all(q_two(4, b, c).coeff == 0 for b in (2, 1, 0))
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 0
 
-    def test_zero_pivot_at_order_10_swaps_rows(self):
+    def test_zero_pivot_at_order_10_is_fixed_up(self):
         # (9, 8, ..., 1, 0), of padded length 10, is one partition, so q_tilde eliminates.
         # Only c_4 = c_9 = 1 besides c_0: the row of 9 is zero up to Q_(9,5) = Q_(9,0) = 1,
-        # and the first step must swap the column of 5 in.  The swap's sign flip gives 16; without it, -16.
+        # and the first step must add the row and column of 5 to those of 8: 16.
         lam, c = staircase(9), ChernSeries(tuple(int(i in (0, 4, 9)) for i in range(18)))
         assert [q_two(9, b, c).coeff for b in range(8, -1, -1)] == [0, 0, 0, 0, 1, 0, 0, 0, 1]
         assert q_tilde(lam, c).coeff == laplace_q_tilde(lam, c) == 16
@@ -269,7 +269,7 @@ skew_matrices = st.integers(0, 5).flatmap(
 
 
 class TestPfaffian:
-    # Integer entries drawn mostly from {0, +-1, 2} put zero pivots, row swaps and
+    # Integer entries drawn mostly from {0, +-1, 2} put zero pivots, their fix-ups and
     # zero rows in every step, up to order 10; every matrix runs through both rules.
     # A float multiplier whose value happens to be exact would still compare equal, so
     # the result's type is checked too: the fraction-free rule must return an int.
@@ -277,9 +277,9 @@ class TestPfaffian:
     @given(skew_matrices)
     # order 6, row 0 zero: the dividing step returns 0
     @example((6, [0, 0, 0, 0, 0, 1, 2, -1, 1, 1, 0, 2, -1, 1, 1]))
-    # order 6, m01 = m02 = 0: the dividing step swaps column 3 into column 1
+    # order 6, m01 = m02 = 0: the dividing step adds row and column 3 to row and column 1
     @example((6, [0, 0, 1, 0, 2, 1, -1, 0, 2, 1, 0, 1, 2, -1, 1]))
-    # order 4, m01 = 0: the first step swaps column 2 into column 1
+    # order 4, m01 = 0: the first step adds row and column 2 to row and column 1
     @example((4, [0, 1, 2, 1, 1, 1]))
     # order 6, row 2 zero after elimination: the second step returns 0
     @example((6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1]))
@@ -290,10 +290,14 @@ class TestPfaffian:
     @example((2, [-3]))
     # order 6, pivots -1 and 2, then m45 = 2 is 0 after elimination: the last pivot gives 0
     @example((6, [-1, 1, 1, -1, 1, -1, 1, 2, 0, 0, 1, -1, -1, 1, 2]))
-    # order 8, pivot m01 = 2, then m23 is 0 after elimination: the second step swaps
-    # column 4 into column 3, and the fraction-free rule divides its entries by 2
+    # order 8, pivot m01 = 2, then m23 is 0 after elimination: the second step adds row
+    # and column 4 to row and column 3, and the fraction-free rule divides its entries by 2
     @example((8, [2, 0, 1, 2, 3, 0, -1, -2, -1, 0, 2, 0, 3, 1,
                   1, 1, 1, 0, 1, 1, 1, -2, 0, 0, 1, -1, 1, 1]))
+    # order 8: at k = 2 the pivot is 0, and row and column 6 are added to row and column 3
+    # across a nonzero entry between them and one past them; Pf = 3
+    @example((8, [-1, 0, -1, 1, 1, 0, -1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 2, 0, 2, -1, -1, 0, 0,
+                  1, 1, 0, -1]))
     def test_integer_matrix_matches_laplace_expansion(self, matrix):
         n, upper = matrix
         m = skew_upper(n, upper)
@@ -415,9 +419,9 @@ class TestQTildeTable:
         for fraction_free in (True, False):
             assert got == [eliminated_q_tilde(lam, c, fraction_free) for lam in lams + lams]
 
-    def test_row_swap_does_not_leak(self):
-        # (5, 4, 3, 2, 1) swaps a column past Q_(5,4) = ... = Q_(5,1) = 0 (see
-        # TestLaplaceOracle); the partitions after it read the same entries unswapped.
+    def test_pivot_fix_up_does_not_leak(self):
+        # Alone, (5, 4, 3, 2, 1) needs a pivot fix-up past Q_(5,4) = ... = Q_(5,1) = 0 (see
+        # TestLaplaceOracle); in a table, the partitions after it read the same entries unchanged.
         c = ChernSeries((1, 0, 0, 0, 0, 1, 0, 0, 0, 0))
         parts = ((5, 4, 3, 2, 1), (5, 4), (5, 3), (4, 3, 2, 1), (5, 4, 3, 2, 1))
         lams = [StrictPartition.of(*p) for p in parts]

@@ -50,15 +50,17 @@ MUTANTS = [
      'flat[k].replace("|", r"\\|")',
      "flat[k]",
      ["tests/test_cli.py::TestFormats::test_md_escapes_the_cell_separator"]),
-    ("_pfaffian's row swap keeps the sign", "src/prymbn/lagrangian.py",
-     "            sign = -sign\n",
+    ("the zero-pivot fix-up reads column b with the wrong sign", "src/prymbn/lagrangian.py",
+     "m[a][t] -= m[t][b]",
+     "m[a][t] += m[t][b]",
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
+    ("the zero-pivot fix-up skips the entries past b", "src/prymbn/lagrangian.py",
+     "            for t in range(b + 1, n):\n                m[a][t] += m[b][t]\n",
      "",
-     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
-      "tests/test_lagrangian.py::TestLaplaceOracle"
-      "::test_zero_pivot_at_order_10_swaps_rows"]),
+     ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
     ("elimination drops its final pivot", "src/prymbn/lagrangian.py",
-     "return result * sign * (m[n - 2][n - 1] if n else 1)",
-     "return result * sign",
+     "return result * (m[n - 2][n - 1] if n else 1)",
+     "return result",
      ["tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion",
       "tests/test_lagrangian.py::TestQTildeTable"
       "::test_expansion_matches_elimination_to_weight_24"]),
@@ -192,7 +194,7 @@ MUTANTS = [
     ("the Laplace oracle drops the alternating sign", "tests/test_lagrangian.py",
      "(-1) ** (i - 1)",
      "(-1) ** i",
-     ["tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_swaps_rows",
+     ["tests/test_lagrangian.py::TestLaplaceOracle::test_zero_leading_pivot_is_fixed_up",
       "tests/test_lagrangian.py::TestPfaffian::test_integer_matrix_matches_laplace_expansion"]),
     ("the naive oracle drops the x+y gap rule", "tests/test_limit_series.py",
      "if any(y - x < 2 for x, y in zip(entries, entries[1:])):",
