@@ -1,8 +1,9 @@
 """Schur Q-tilde / P-tilde Pfaffian engine for Lagrangian degeneracy classes.
 
 The two-row classes Q_(a,b) are integer sums over one common denominator:
-``_two_row`` takes D as the lcm of the denominators of c_0..c_top and builds each
-integer n_i = c_i D on its first read, so Q_(a,b) D^2 is a signed sum of products
+``_two_row`` calls a rule c, such as ``chern_series_W``, once at the table's order, takes D
+as the lcm of the denominators of c_0..c_top and builds each integer n_i = c_i D on its
+first read, so Q_(a,b) D^2 is a signed sum of products
 n_i n_j, exact for any rational Chern data.  A longer strict partition gives the
 Pfaffian of its skew matrix of those integers, divided once by D^(2 pairs).
 ``q_tilde_table`` is the one evaluator and picks one of three rules per partition: a
@@ -61,10 +62,12 @@ def staircase(m: int) -> StrictPartition:
     return StrictPartition(tuple(range(m, 0, -1)))
 
 
-def _two_row(c: ChernSeries, top: int) -> tuple[Callable[[int, int], int], int]:
-    """(q2, D^2), D = lcm of the denominators of c_0..c_top (refused if c stops sooner):
-    q2(a, b) = Q_(a,b) D^2 for a + b <= top, memoized, over n(i) = c_i D, each an
-    integer built on its first read, so a sparse partition builds only what it reads."""
+def _two_row(c: ChernSeries | Callable[[int], ChernSeries],
+             top: int) -> tuple[Callable[[int, int], int], int]:
+    """(q2, D^2), D = lcm of the denominators of c_0..c_top; a rule c is called once, at top,
+    and a series that stops sooner is refused.  q2(a, b) = Q_(a,b) D^2 for a + b <= top,
+    memoized, over n(i) = c_i D, each built on its first read (a sparse partition reads few)."""
+    c = c(top) if callable(c) else c
     if c.truncation < top:
         raise ParameterError(f"Chern series truncated at {c.truncation}, need order {top}")
     d = math.lcm(*(q.denominator for q in c.coeffs[: top + 1]))
@@ -141,13 +144,14 @@ def _expand(parts: tuple[int, ...], q2: Callable[[int, int], int], memo: dict) -
     return memo[parts]
 
 
-def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[ThetaClass]:
+def q_tilde_table(lams: Iterable[StrictPartition],
+                  c: ChernSeries | Callable[[int], ChernSeries]) -> list[ThetaClass]:
     """Q-tilde of each partition in lams, over one Chern series: the one evaluator.
 
-    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  One
-    call reads the series to order max lambda_1 + lambda_2 over lams through _two_row, which
-    refuses a shorter series and builds each n_i and each int Q_(a,b) D^2 on first read.  Each
-    partition gets one of three rules, by facts the table already has:
+    Odd lengths get a zero part (Q_(a,0) = c_a), and the empty partition gives 1.  One call
+    reads c to order max lambda_1 + lambda_2 over lams through _two_row, which sizes a rule's
+    series there, once, refuses a shorter series and builds each n_i and each int Q_(a,b) D^2
+    on first read.  Each partition gets one of three rules, by facts the table already has:
     - in a table of several partitions: _expand over one shared memo of padded parts;
     - a lone partition: _pfaffian on its int matrix, fraction-free while padded length *
       bits(D^2) is up to _FRACTION_FREE_BITS (the minors grow with both), else in Fraction.
@@ -166,11 +170,11 @@ def q_tilde_table(lams: Iterable[StrictPartition], c: ChernSeries) -> list[Theta
     return table
 
 
-def q_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
+def q_tilde(lam: StrictPartition, c: ChernSeries | Callable[[int], ChernSeries]) -> ThetaClass:
     """Schur Q-tilde class: the Pfaffian of the two-row classes Q_(lambda_i, lambda_j).
 
     The one-partition q_tilde_table: skew elimination, its rule picked by padded length and D.
-    Requires c truncated at lambda_1 + lambda_2 or later: Q_(a,b) reads c up to a + b.
+    Requires c truncated at lambda_1 + lambda_2 or later, or a rule such as chern_series_W.
     """
     return q_tilde_table([lam], c)[0]
 
@@ -185,7 +189,7 @@ def q_two(a: int, b: int, c: ChernSeries) -> ThetaClass:
     return q_tilde(StrictPartition((a, b) if b else (a,)), c)
 
 
-def p_tilde(lam: StrictPartition, c: ChernSeries) -> ThetaClass:
+def p_tilde(lam: StrictPartition, c: ChernSeries | Callable[[int], ChernSeries]) -> ThetaClass:
     """Q-tilde divided by 2^length; the quadratic-form normalization."""
     q = q_tilde(lam, c)
     return ThetaClass(q.coeff / 2**lam.length, q.exponent, q.generator)
@@ -196,26 +200,21 @@ def partition_for(a: VanishingSequence) -> StrictPartition:
     return StrictPartition(tuple(ai + 1 for ai in reversed(a.entries)))
 
 
-def _at_W(f: Callable[..., ThetaClass], lam: StrictPartition) -> ThetaClass:
-    """f(lam, c), c_i = theta'^i/i! up to lambda_1 + lambda_2: as far as q_tilde reads."""
-    return f(lam, chern_series_W(sum(lam.parts[:2])))
-
-
 def lagrangian_class_pointed(a: VanishingSequence) -> ThetaClass:
     """Engine value of the pointed twisted class: Q-tilde at c_i = theta'^i/i!."""
-    return _at_W(q_tilde, partition_for(a))
+    return q_tilde(partition_for(a), chern_series_W)
 
 
 def lagrangian_class_twisted(r: int) -> ThetaClass:
     """Engine value of the twisted class: Q-tilde at the staircase of length r+1."""
     (r,) = _at_least("rank must be non-negative", (0,), r=r)
-    return _at_W(q_tilde, staircase(r + 1))
+    return q_tilde(staircase(r + 1), chern_series_W)
 
 
 def lagrangian_class_unramified(r: int) -> ThetaClass:
     """Engine value of the P+/P- class: P-tilde at staircase(r) in xi (1 at r = 0)."""
     (r,) = _at_least("rank must be non-negative", (0,), r=r)
-    return substitute_theta_prime_as_2xi(_at_W(p_tilde, staircase(r)))
+    return substitute_theta_prime_as_2xi(p_tilde(staircase(r), chern_series_W))
 
 
 def eval_identity(lam: StrictPartition) -> Fraction:

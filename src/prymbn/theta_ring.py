@@ -96,6 +96,8 @@ _SPACES = {
     (RAMIFIED_TWISTED, 1): (0, lambda g: 2**g * math.factorial(g)),
     (RAMIFIED_TWISTED, 2): (1, lambda g: 2**g * math.factorial(g + 1)),
 }
+# The torsors with a calibrated top degree, in the order of _SPACES.
+CALIBRATED = [key for key, (_, top) in _SPACES.items() if top is not None]
 
 
 def make_space(flavor: str, g: int, k: int) -> PrymSpace:

@@ -14,7 +14,8 @@ built outside the checks, so an error there ends ``pbn verify`` with no report
 (exit 2; 1 for an invariant violation).
 ``engine_classes`` walks the pointed sequences a and takes lambda =
 partition_for(a), as ``pbn class --locus V_eta_pointed --engine`` does, but
-evaluates every lambda in one ``q_tilde_table``: the walk is closed under removing
+evaluates every lambda in one ``q_tilde_table``, passed the rule ``chern_series_W``,
+which the table sizes once, as far as its lambdas read.  The walk is closed under removing
 parts, so the table expands each lambda over one memo of exactly its lambdas.
 ``engine_oracle`` checks it against the product formula ``eval_identity``,
 and the class rule ``_agreement`` against the pointed closed form: at
@@ -70,10 +71,6 @@ LIMIT_FLAVORS = {  # CLI flavor -> limit_series flavor
     "ramified": limit_series.RAMIFIED_X_PLUS_Y,
 }
 
-# The torsors with a calibrated top degree, in theta_ring's order.
-_CALIBRATED = [key for key, (_, top) in theta_ring._SPACES.items() if top is not None]
-
-
 class SuiteResult(_Record):
     __slots__ = ("name", "cases", "passed", "counterexample", "vacuous")
 
@@ -101,11 +98,11 @@ EngineTable = list[tuple[VanishingSequence, StrictPartition, theta_ring.ThetaCla
 
 def engine_classes(max_weight: int) -> EngineTable:
     """(a, lambda = partition_for(a), Q-tilde at c_i = theta'^i/i!) per pointed sequence up to
-    max_weight, as ``class --engine`` takes a; one Chern series as far as lambda reads."""
+    max_weight, as ``class --engine`` takes a; the table sizes the one Chern series from the
+    rule formulas.chern_series_W, as far as its lambdas read."""
     seqs = list(pointed_sequences(max_weight))
     lams = list(map(lagrangian.partition_for, seqs))
-    c = formulas.chern_series_W(max((sum(lam.parts[:2]) for lam in lams), default=0))
-    return list(zip(seqs, lams, lagrangian.q_tilde_table(lams, c)))
+    return list(zip(seqs, lams, lagrangian.q_tilde_table(lams, formulas.chern_series_W)))
 
 
 def _suite(label: str,
@@ -207,7 +204,7 @@ def _positive_count(k: int, r: int, g: int) -> str | None:
 @_suite("k={} r={} g={}", _positive_count)
 def suite_count_integrality(max_r: int) -> Iterator[tuple]:
     """``count`` at the dimension-zero genus is a positive integer (calibrated k)."""
-    for k in (k for flavor, k in _CALIBRATED if flavor == LOCI["V_eta"].torsor):
+    for k in (k for flavor, k in theta_ring.CALIBRATED if flavor == LOCI["V_eta"].torsor):
         for r in range(max_r + 1):
             g = dimension_zero_genus(k, r)
             if g >= 2:  # the genus-2 domain of the torsor table
@@ -254,7 +251,7 @@ def suite_degree_table(max_g: int) -> Iterator[tuple]:
     """Top self-intersections match Riemann-Roch on the torsor: theta^dim = dim! chi,
     chi = 2^g on the twisted torsors (polarization type (1,...,1,2,...,2), g twos;
     Birkenhake-Lange, Complex Abelian Varieties, ch. 12) and chi = 1 on P+/P-."""
-    return ((flavor, g, k) for g in range(2, max_g + 1) for flavor, k in _CALIBRATED)
+    return ((flavor, g, k) for g in range(2, max_g + 1) for flavor, k in theta_ring.CALIBRATED)
 
 
 def run_all(max_weight: int, max_g: int, max_r: int) -> list[SuiteResult]:

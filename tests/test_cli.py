@@ -156,6 +156,14 @@ class TestClass:
         assert '"engine_agrees": true' in out
         assert elapsed < 3.0
 
+    def test_pointed_engine_builds_one_chern_series(self, monkeypatch):
+        # lagrangian passes the rule chern_series_W, which the table calls once, at
+        # lambda_1 + lambda_2 = 61 + 3 for a = (0, 1, 2, 60).
+        calls, real = [], lagrangian.chern_series_W
+        monkeypatch.setattr(lagrangian, "chern_series_W", lambda n: calls.append(n) or real(n))
+        rec = run_json("class", "--locus", "V_eta_pointed", "--a", "0,1,2,60", "--engine")
+        assert (rec["result"]["engine_agrees"], calls) == (True, [64])
+
     def test_v_eta_engine_ratio_at_rank_40(self):
         rec = run_json("class", "--locus", "V_eta", "--r", "40", "--engine")
         assert rec["result"]["engine_ratio"] == 2**41
@@ -466,15 +474,12 @@ class TestVerify:
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 
     def test_pointed_equivalence_builds_one_chern_series(self, monkeypatch):
-        # lagrangian imports the name, so both bindings are counted.
-        from prymbn import lagrangian
+        # verify passes the rule formulas.chern_series_W, which the table calls once.
         from prymbn import verify as verify_mod
 
         calls = []
         real = formulas.chern_series_W
-        counted = lambda n: calls.append(n) or real(n)  # noqa: E731
-        monkeypatch.setattr(formulas, "chern_series_W", counted)
-        monkeypatch.setattr(lagrangian, "chern_series_W", counted)
+        monkeypatch.setattr(formulas, "chern_series_W", lambda n: calls.append(n) or real(n))
         res = verify_mod.suite_pointed_equivalence(verify_mod.engine_classes(24))
         assert (res.passed, res.cases, calls) == (True, 761, [24])
 

@@ -434,6 +434,16 @@ class TestQTildeTable:
         lams = [StrictPartition.of(3, 2), StrictPartition(parts)]
         with pytest.raises(ParameterError, match=f"truncated at 5, need order {order}$"):
             q_tilde_table(lams, chern_series_W(5))
+        # The rule chern_series_W gives the series at that order, for a lone partition, for
+        # the table closed under removing parts and for lams; a rule that stops sooner is refused.
+        closed = [StrictPartition(sub) for k in range(len(parts) + 1)
+                  for sub in itertools.combinations(parts, k)]
+        for table in ([StrictPartition(parts)], closed, lams):
+            want = q_tilde_table(table, chern_series_W(order))
+            assert q_tilde_table(table, chern_series_W) == want
+            with pytest.raises(ParameterError,
+                               match=f"truncated at {order - 1}, need order {order}$"):
+                q_tilde_table(table, lambda n: chern_series_W(n - 1))
 
     def test_empty_list_and_empty_partition(self):
         c = chern_series_W(0)
