@@ -113,11 +113,10 @@ def _cmd_count(args) -> _Reply:
 def _cmd_limits(args) -> _Reply:
     problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor], args.g, args.r)
     result: dict[str, object] = {"empty": problem.s < 0, "s": problem.s}
-    candidates = enumerate_candidates(problem) if args.show_candidates else None
-    if candidates is not None:  # [] on an empty locus (s < 0)
-        result["candidates"] = candidates
-    if problem.s >= 0:
-        result["solution"] = solve_unique(problem, candidates).entries
+    if args.show_candidates:  # [] on an empty locus (s < 0)
+        result["candidates"] = enumerate_candidates(problem)
+    if problem.s >= 0:  # the solver walks only what its filter keeps
+        result["solution"] = solve_unique(problem).entries
     return result, ["vanishing orders of aspects of Prym limit linear series"]
 
 

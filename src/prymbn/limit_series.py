@@ -15,10 +15,14 @@ orders of an aspect of a limit series at a node:
 stated constraints, walking only prefixes that can still be completed; the
 tests check it against a naive walk over every (r+1)-subset, and the closed
 forms stay independent of both.  ``solve_unique`` applies the exactness
-filter of each degeneration argument and insists on a unique survivor.
+filter of each degeneration argument and insists on a unique survivor.  It
+passes that filter to the walk, which tests each prefix as its own problem and
+so never lists a candidate the filter rejects.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .bn_numerics import VanishingSequence, rho, rho_pointed
 from .errors import InvariantViolationError, ParameterError, _at_least, _integers, _Record
@@ -99,7 +103,9 @@ def prym_limit_vanishing_dual(g: int, r: int) -> VanishingSequence:
     return result
 
 
-def enumerate_candidates(p: LimitProblem) -> list[tuple[int, ...]]:
+def enumerate_candidates(
+    p: LimitProblem, keep: Callable[[int, int, tuple[int, ...]], bool] | None = None
+) -> list[tuple[int, ...]]:
     """All sequences meeting the sum, range [0, d] and parity/gap constraints,
     as strictly increasing int tuples (not ``VanishingSequence`` records).
 
@@ -107,22 +113,31 @@ def enumerate_candidates(p: LimitProblem) -> list[tuple[int, ...]]:
     adjusted-rho condition rho_pointed = rho - sum(a_i - i) = s on both
     aspects, which ``solve_unique`` re-checks on its answer.  The walk
     fixes a_0, a_1, ... left to right, visiting only completable prefixes, so
-    the list is lexicographic.  ``solve_unique`` deliberately filters this full
-    list: perfbench counts candidates by wrapping this call, so pruning waits
-    for in-package counters.
+    the list is lexicographic.
+
+    Given an exactness filter ``keep(g, r, a)``, each prefix of m+1 entries is
+    tested as the problem (g - (r - m), m), and a failing prefix is not extended.
+    If every prefix of a passing tuple passes, as for both of ``solve_unique``'s
+    filters, this is ``[a for a in enumerate_candidates(p) if keep(p.g, p.r, a)]``.
     """
     out: list[tuple[int, ...]] = []
     if p.s >= 0:
-        _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree, p.flavor != RAMIFIED_X_PLUS_Y)
+        test = None if keep is None else lambda a: keep(p.g - p.r - 1 + len(a), len(a) - 1, a)
+        _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree,
+                p.flavor != RAMIFIED_X_PLUS_Y, test)
     return out
 
 
 def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: int,
-            k: int, rest: int, d: int, parity: bool) -> None:
+            k: int, rest: int, d: int, parity: bool,
+            test: Callable[[tuple[int, ...]], bool] | None) -> None:
     """Append each completion of ``prefix`` by k entries, the first in range(lo, d+1, step),
-    summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity."""
+    summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity.  A ``test``
+    is called on each prefix and each whole tuple, and only what passes is extended or
+    appended; without one, no call is made per node and k = 2 appends its pairs at once."""
     if k == 1:
-        if lo <= rest <= d and (rest - lo) % step == 0:
+        fits = lo <= rest <= d and (rest - lo) % step == 0
+        if fits and (test is None or test(prefix + (rest,))):
             out.append(prefix + (rest,))
         return
     # x, x+2, ... must not overshoot rest; x plus the k-1 top values must reach it.
@@ -132,39 +147,50 @@ def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: 
         top = d - (d - x) % 2 if parity else d
         if x + (k - 1) * (top - k + 2) < rest or parity and (rest - k * x) % 2:
             continue
-        if k == 2:  # the checks above already admit the last entry rest - x
+        if k == 2 and test is None:  # the checks above already admit the last entry rest - x
             out.append(prefix + (x, rest - x))
-        else:
-            _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity)
+        elif test is None or test(prefix + (x,)):
+            _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity,
+                    test)
 
 
 def _endpoint_filter_unramified(g: int, r: int, a: tuple[int, ...]) -> bool:
     """Section-count exactness: g+r-1-a_{r-i}-i = #{j : a_j >= a_{r-i}+2}.  No entry
-    reaches a_r + 2, so the i = 0 term reads a_r = g+r-1: tested first, it rejects most."""
+    reaches a_r + 2, so the i = 0 term reads a_r = g+r-1: tested first, it rejects most.
+
+    A passing tuple's prefix of m+1 entries passes at (g - (r - m), m): every later
+    entry is at least a_m + 2, so both sides of each term drop by r - m."""
     return a[-1] == g + r - 1 and all(
         g + r - 1 - order - i == sum(1 for aj in a if aj >= order + 2)
         for i, order in enumerate(reversed(a)))
 
 
+def _endpoint_filter_ramified(g: int, r: int, a: tuple[int, ...]) -> bool:
+    """Endpoint exactness: a_0 = g-r and a_r = g+r.  A span of 2r over r gaps of at
+    least 2 pins a_m = g-r+2m, so a passing tuple's prefix of m+1 entries passes at
+    (g - (r - m), m)."""
+    return a[0] == g - r and a[-1] == g + r
+
+
 def solve_unique(
     p: LimitProblem, candidates: list[tuple[int, ...]] | None = None
 ) -> VanishingSequence:
-    """Filter the candidate tuples down to the proven unique solution.
+    """Filter the candidates down to the proven unique solution.
 
-    ``candidates`` is ``enumerate_candidates(p)`` when the caller already
-    has it; by default it is enumerated here.  No candidate becomes a record:
-    one comparison requires the survivors to be exactly the closed form.
+    By default the filter prunes the walk of ``enumerate_candidates``, so only
+    the survivors are listed; given ``candidates``, it filters that list.  No
+    candidate becomes a record: one comparison requires the survivors to be
+    exactly the closed form.
     """
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
     closed = _centered(p)  # refuses s < 0
+    keep = (_endpoint_filter_unramified if p.flavor == UNRAMIFIED_DELTA1
+            else _endpoint_filter_ramified)
     if candidates is None:
-        candidates = enumerate_candidates(p)
-    if p.flavor == UNRAMIFIED_DELTA1:
-        survivors = [a for a in candidates if _endpoint_filter_unramified(p.g, p.r, a)]
+        survivors = enumerate_candidates(p, keep)
     else:
-        low, high = p.g - p.r, p.g + p.r
-        survivors = [a for a in candidates if a[0] == low and a[-1] == high]
+        survivors = [a for a in candidates if keep(p.g, p.r, a)]
     if survivors != [closed.entries]:
         raise InvariantViolationError(f"{p.flavor} g={p.g} r={p.r}: survivors {survivors} "
                                       f"are not exactly the closed form {closed.entries}")

@@ -258,24 +258,29 @@ class TestLimits:
         assert rec["result"]["candidates"] == [[0, 8], [1, 7], [2, 6], [3, 5]]
 
     def test_show_candidates_enumerates_once(self, monkeypatch):
+        # The full walk runs once, for the block; the solver's walk is pruned by its filter.
         calls, original = [], limit_series.enumerate_candidates
 
-        def counted(p):
-            calls.append(p)
-            return original(p)
+        def counted(p, keep=None):
+            calls.append(keep)
+            return original(p, keep)
 
         monkeypatch.setattr(limit_series, "enumerate_candidates", counted)
         monkeypatch.setattr(cli, "enumerate_candidates", counted)
         run_json("limits", "--flavor", "unramified", "--g", "5", "--r", "1", "--show-candidates")
-        assert len(calls) == 1
+        assert calls == [None, limit_series._endpoint_filter_unramified]
 
     @pytest.mark.parametrize("argv,candidates", [
         (("--flavor", "ramified", "--g", "12", "--r", "4", "--show-candidates"), 649),
         (("--flavor", "unramified", "--g", "24", "--r", "5"), 6225),
+        (("--flavor", "ramified", "--g", "40", "--r", "6"), None),  # 1.4e7 candidates
+        (("--flavor", "ramified", "--g", "60", "--r", "8"), None),  # 2.5e10 candidates
+        (("--flavor", "unramified", "--g", "3000", "--r", "2"), None),
     ])
     def test_no_candidate_becomes_a_record(self, monkeypatch, argv, candidates):
         # Candidates stay int tuples: the closed form and its complement are the
-        # request's only VanishingSequence records, however many candidates.
+        # request's only VanishingSequence records, however many candidates.  Only
+        # --show-candidates lists them all; the solver's pruned walk lists its survivor.
         records, walked, init = [], [], bn_numerics.VanishingSequence.__init__
         enumerate_candidates = limit_series.enumerate_candidates
 
@@ -283,15 +288,15 @@ class TestLimits:
             records.append(entries)
             init(self, entries)
 
-        def counted_walk(p):
-            walked.append(len(result := enumerate_candidates(p)))
+        def counted_walk(p, keep=None):
+            walked.append(len(result := enumerate_candidates(p, keep)))
             return result
 
         monkeypatch.setattr(bn_numerics.VanishingSequence, "__init__", counted_init)
         monkeypatch.setattr(limit_series, "enumerate_candidates", counted_walk)
         monkeypatch.setattr(cli, "enumerate_candidates", counted_walk)
         run_json("limits", *argv)
-        assert walked == [candidates]
+        assert walked == ([candidates, 1] if "--show-candidates" in argv else [1])
         assert len(records) == 2, len(records)
 
     def test_candidates_past_ten_million_subsets(self):

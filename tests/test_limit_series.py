@@ -268,6 +268,48 @@ class TestEndpointFilter:
         assert checked > 150 and passed > 20
 
 
+FILTERS = {UNRAMIFIED_DELTA1: limit_series._endpoint_filter_unramified,
+           RAMIFIED_X_PLUS_Y: limit_series._endpoint_filter_ramified}
+
+
+class TestPrunedWalk:
+    """enumerate_candidates(p, keep) tests each prefix at its shifted problem, so it must
+    list exactly the full walk's tuples that pass keep at (g, r)."""
+
+    @pytest.mark.parametrize("flavor", FILTERS)
+    def test_matches_the_filtered_full_walk(self, flavor):
+        # The sweep holds the walk's edges: r = 0 (the root is the leaf),
+        # r = 1 (the root's children are leaves) and s = 0.
+        keep, checked, seen = FILTERS[flavor], 0, set()
+        for g in range(1, 21):
+            for r in range(6):
+                p = LimitProblem(flavor, g, r)
+                full = enumerate_candidates(p)
+                survivors = [a for a in full if keep(g, r, a)]
+                assert enumerate_candidates(p, keep) == survivors, (flavor, g, r)
+                assert enumerate_candidates(p, lambda g, r, a: True) == full, (flavor, g, r)
+                assert enumerate_candidates(p, lambda g, r, a: False) == [], (flavor, g, r)
+                if p.s >= 0:
+                    assert survivors == [solve_unique(p).entries], (flavor, g, r)
+                    seen |= {("r", r), ("s", p.s)}
+                checked += 1
+        assert checked == 120 and {("r", 0), ("r", 1), ("s", 0)} <= seen
+
+    @pytest.mark.parametrize("flavor", FILTERS)
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_a_constant_filter_names_the_same_survivors(self, monkeypatch, flavor, verdict):
+        p = LimitProblem(flavor, 6, 2)
+        monkeypatch.setattr(limit_series, FILTERS[flavor].__name__, lambda g, r, a: verdict)
+        messages = []
+        for candidates in (None, enumerate_candidates(p)):
+            with pytest.raises(InvariantViolationError) as info:
+                solve_unique(p, candidates)
+            messages.append(str(info.value))
+        survivors = enumerate_candidates(p) if verdict else []
+        assert messages == [f"{flavor} g=6 r=2: survivors {survivors} are not exactly the"
+                            f" closed form {limit_series._centered(p).entries}"] * 2
+
+
 class TestLimitProblem:
     @pytest.mark.parametrize("bad", [5.5, Fraction(11, 2), "5"])
     def test_rejects_non_integer_g_or_r(self, bad):

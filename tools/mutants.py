@@ -98,6 +98,14 @@ MUTANTS = [
      "if len(survivors) != 1:",
      ["tests/test_cli.py::TestInvariantViolationExits"
       "::test_survivor_off_the_closed_form_exits_one"]),
+    ("the pruned walk tests a prefix one genus too high", "src/prymbn/limit_series.py",
+     "keep(p.g - p.r - 1 + len(a),",
+     "keep(p.g - p.r + len(a),",
+     ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
+    ("solve_unique filters the full walk", "src/prymbn/limit_series.py",
+     "survivors = enumerate_candidates(p, keep)",
+     "survivors = [a for a in enumerate_candidates(p) if keep(p.g, p.r, a)]",
+     ["tests/test_cli.py::TestLimits::test_no_candidate_becomes_a_record[argv1-6225]"]),
     ("the solver skips its adjusted-rho re-check", "src/prymbn/limit_series.py",
      "if rho_pointed(p.component_genus, p.r, p.degree, aspect) != p.s:",
      "if False:",
