@@ -2,9 +2,11 @@
 
 One command table builds the parser: each subcommand with its help, handler and
 flags.  dim and class take the ``_LOCUS_FLAGS`` their loci in ``verify.LOCI`` use,
-and limits the flavors of ``verify.LIMIT_FLAVORS``.  A handler returns the result
-and citations; ``params`` echoes each parsed flag that is not None or False.
-Output is a canonical record (json, csv or md): keys sorted, rationals as
+and limits the flavors of ``verify.LIMIT_FLAVORS``.  A subcommand's parser, a
+``_Command``, adds its flags on its first parse, so a request adds the flags of only
+the subcommand it runs; help and usage errors come after them.  A handler returns
+the result and citations; ``params`` echoes each parsed flag that is not None or
+False.  Output is a canonical record (json, csv or md): keys sorted, rationals as
 reduced "p/q" strings, integers unquoted.  JSON is written by one renderer,
 ``_json``, whose test oracle is ``json.dumps(..., sort_keys=True, indent=2,
 default=str)``.  Exit codes: 0 for success (including proven-empty loci), 1 for
@@ -214,6 +216,22 @@ def _locus_arguments(fact: str, *between) -> list[tuple[str, dict[str, object]]]
             *((f"--{flag}", kw) for flag, kw in _LOCUS_FLAGS.items() if flag in used)]
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser.  It keeps its ``(flag, argparse keywords)`` list from the
+    command table and adds those flags on its first parse, before argparse reads the
+    argv, prints help or reports a usage error."""
+
+    def __init__(self, *, flags: Sequence[tuple[str, dict[str, object]]] = (), **kwargs):
+        super().__init__(**kwargs)
+        self._unadded = list(flags)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, keywords in self._unadded:
+            self.add_argument(flag, **keywords)
+        self._unadded = []
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # A fixed width: argparse would otherwise size help and usage errors from COLUMNS.
     formatter = functools.partial(argparse.HelpFormatter, width=78)
@@ -222,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter)
     parser.add_argument("--format", choices=("json", "csv", "md"), default="json",
                         help="output format (default: json)")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Command)
     needed = {"type": int, "required": True}
     commands = [  # (name, help, handler, [(flag, argparse keywords)])
         ("dim", "expected-dimension report for a locus", _cmd_dim,
@@ -240,11 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
          [("--max-weight", {"type": int, "default": 24}),
           ("--max-g", {"type": int, "default": 12}), ("--max-r", {"type": int, "default": 4})]),
     ]
-    for name, help_text, handler, arguments in commands:
-        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        for flag, keywords in arguments:
-            command.add_argument(flag, **keywords)
-        command.set_defaults(func=handler)
+    for name, help_text, handler, flags in commands:
+        sub.add_parser(name, help=help_text, formatter_class=formatter,
+                       flags=flags).set_defaults(func=handler)
     return parser
 
 

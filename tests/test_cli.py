@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import hashlib
@@ -717,6 +718,33 @@ class TestParser:
                 for flag in locus.flags}
         fixed = {"--locus", "--g", "--k", "--engine"}
         assert set(_help_flags(command)[1]) - fixed == used
+
+    def test_a_request_adds_only_its_own_flags(self, monkeypatch):
+        added = {}  # prog -> the option strings added to that parser, in order
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(parser, *flags, **keywords):
+            added.setdefault(parser.prog, []).extend(flags)
+            return add_argument(parser, *flags, **keywords)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        run_json(*GOLDEN_COMMANDS[0].split())
+        assert added == {"pbn": ["-h", "--help", "--format"],
+                         "pbn dim": ["-h", "--help", *_SUBCOMMAND_FLAGS["dim"]],
+                         **{f"pbn {c}": ["-h", "--help"] for c in _SUBCOMMAND_FLAGS if c != "dim"}}
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+    def test_usage_error_names_every_flag(self, command):
+        # The first flag of each subcommand takes a value; without one, the subcommand's
+        # own parser reports the error under its usage line.
+        flag = _SUBCOMMAND_FLAGS[command][0]
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            cli.main([command, flag])
+        usage, error = err.getvalue().split(f"pbn {command}: error: ")
+        assert (exit_.value.code, error) == (2, f"argument {flag}: expected one argument\n")
+        assert usage.startswith(f"usage: pbn {command} [-h] ")
+        assert re.findall(r"--[a-z-]+", usage) == _SUBCOMMAND_FLAGS[command]
 
 
 def _raising(exc_type):

@@ -50,6 +50,24 @@ MUTANTS = [
      'flat[k].replace("|", r"\\|")',
      "flat[k]",
      ["tests/test_cli.py::TestFormats::test_md_escapes_the_cell_separator"]),
+    ("every subcommand adds its flags when built", "src/prymbn/cli.py",
+     "        self._unadded = list(flags)\n",
+     "        self._unadded = []\n"
+     "        for flag, keywords in flags:\n"
+     "            self.add_argument(flag, **keywords)\n",
+     ["tests/test_cli.py::TestParser::test_a_request_adds_only_its_own_flags"]),
+    ("a subcommand adds its flags after it parses", "src/prymbn/cli.py",
+     "        for flag, keywords in self._unadded:\n"
+     "            self.add_argument(flag, **keywords)\n"
+     "        self._unadded = []\n"
+     "        return super().parse_known_args(args, namespace)\n",
+     "        parsed = super().parse_known_args(args, namespace)\n"
+     "        for flag, keywords in self._unadded:\n"
+     "            self.add_argument(flag, **keywords)\n"
+     "        self._unadded = []\n"
+     "        return parsed\n",
+     ["tests/test_cli.py::TestParser::test_usage_error_names_every_flag",
+      "tests/test_cli.py::TestParser::test_help_lists_every_flag"]),
     ("the zero-pivot fix-up reads column b with the wrong sign", "src/prymbn/lagrangian.py",
      "m[a][t] -= m[t][b]",
      "m[a][t] += m[t][b]",
