@@ -172,25 +172,17 @@ def _endpoint_filter_ramified(g: int, r: int, a: tuple[int, ...]) -> bool:
     return a[0] == g - r and a[-1] == g + r
 
 
-def solve_unique(
-    p: LimitProblem, candidates: list[tuple[int, ...]] | None = None
-) -> VanishingSequence:
-    """Filter the candidates down to the proven unique solution.
-
-    By default the filter prunes the walk of ``enumerate_candidates``, so only
-    the survivors are listed; given ``candidates``, it filters that list.  No
-    candidate becomes a record: one comparison requires the survivors to be
-    exactly the closed form.
+def solve_unique(p: LimitProblem) -> VanishingSequence:
+    """The proven unique solution of p: its exactness filter prunes the walk of
+    ``enumerate_candidates``, and one comparison requires the survivors to be
+    exactly the closed form, so no candidate becomes a record.
     """
     if p.flavor == RAMIFIED_DUAL:
         return prym_limit_vanishing_dual(p.g, p.r)
     closed = _centered(p)  # refuses s < 0
     keep = (_endpoint_filter_unramified if p.flavor == UNRAMIFIED_DELTA1
             else _endpoint_filter_ramified)
-    if candidates is None:
-        survivors = enumerate_candidates(p, keep)
-    else:
-        survivors = [a for a in candidates if keep(p.g, p.r, a)]
+    survivors = enumerate_candidates(p, keep)
     if survivors != [closed.entries]:
         raise InvariantViolationError(f"{p.flavor} g={p.g} r={p.r}: survivors {survivors} "
                                       f"are not exactly the closed form {closed.entries}")

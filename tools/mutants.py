@@ -120,6 +120,14 @@ MUTANTS = [
      "keep(p.g - p.r - 1 + len(a),",
      "keep(p.g - p.r + len(a),",
      ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
+    ("the pruned walk appends a last entry without testing it", "src/prymbn/limit_series.py",
+     "if fits and (test is None or test(prefix + (rest,))):",
+     "if fits:",
+     ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
+    ("the pruned walk appends its pairs without testing them", "src/prymbn/limit_series.py",
+     "if k == 2 and test is None:",
+     "if k == 2:",
+     ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
     ("solve_unique filters the full walk", "src/prymbn/limit_series.py",
      "survivors = enumerate_candidates(p, keep)",
      "survivors = [a for a in enumerate_candidates(p) if keep(p.g, p.r, a)]",

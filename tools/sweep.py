@@ -36,12 +36,15 @@ small grids of arguments, valid and not:
 - the Q-tilde classes on four Chern series: theta'^i/i!, small rational
   denominators, a sparse series with zero pivots, and denominators
   (i!)^4, large enough that the long partitions take the Fraction rule;
-  tables of several partitions, closed under removing parts and not;
+  tables of several partitions, closed under removing parts and not; and
+  the rule form, ``chern_series_W`` itself, for one partition and a table;
 - the theta ring on every torsor, and every limit flavor, ``RAMIFIED_DUAL``
-  included, with ``solve_unique`` given its candidates and given others.
+  included, with ``enumerate_candidates`` unfiltered and under both
+  exactness filters.
 
 Each call is recorded as its name and the ``repr`` of its arguments, then the
-``repr`` of its result or the type and text of its exception.
+``repr`` of its result or the type and text of its exception.  A function among
+the arguments is recorded by name: its address is cut from the ``repr``.
 Standard library only.
 """
 
@@ -50,6 +53,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -57,7 +61,7 @@ import prymbn
 from prymbn import cli, lagrangian, limit_series, theta_ring, verify
 
 PIN = "9ba0440697b10e426597adec8d568d9a"  # md5 of the whole deck on Python 3.11
-LIBRARY_PIN = "5efe6d54ee03108ef12a5d88944cbae5"  # md5 of the whole library deck on Python 3.11
+LIBRARY_PIN = "5d0159d22acb99a09778e8f88a4670b6"  # md5 of the whole library deck on Python 3.11
 
 _G, _K = range(-1, 13), range(-1, 4)
 _VALUES = {"r": range(-1, 6), "d": range(-1, 2)}
@@ -167,9 +171,11 @@ def library_deck() -> list[tuple[object, tuple]]:
         (prymbn.lagrangian_class_pointed, [(a,) for a in seqs]),
         (prymbn.eval_identity, [(lam,) for lam in lams]),
         (prymbn.q_tilde, grid(lams, series)),
+        (prymbn.q_tilde, grid(lams, [prymbn.chern_series_W])),
         (prymbn.p_tilde, grid(lams, series)),
         (prymbn.q_two, grid(range(-1, 13), range(-1, 7), series)),
         (lagrangian.q_tilde_table, grid(tables, series)),
+        (lagrangian.q_tilde_table, grid(tables, [prymbn.chern_series_W])),
         (prymbn.ThetaClass, [(Fraction(1, 2), 1, "xi"), (1, -1), (1, 1.0), (0.5, 1), (1, 1, "e")]),
         (prymbn.PrymSpace, [(theta_ring.UNRAMIFIED_PM, 3, 0, 2, 2), ("x", 3, 0, 2, 2.0)]),
         (prymbn.make_space, grid([theta_ring.UNRAMIFIED_PM, theta_ring.RAMIFIED_TWISTED, "x"],
@@ -180,9 +186,9 @@ def library_deck() -> list[tuple[object, tuple]]:
         (prymbn.count_points, grid(classes, spaces)),
         (prymbn.LimitProblem, grid([*limit_series.FLAVORS, "x"], range(-1, 9), ks)),
         (prymbn.enumerate_candidates, [(p,) for p in problems]),
+        (prymbn.enumerate_candidates, grid(problems, [limit_series._endpoint_filter_unramified,
+                                                      limit_series._endpoint_filter_ramified])),
         (prymbn.solve_unique, [(p,) for p in problems]),
-        (prymbn.solve_unique, [(p, c) for p in problems for c in
-                               ([], [(0,) * (p.r + 1)], prymbn.enumerate_candidates(p)[:2])]),
         (prymbn.prym_limit_vanishing, grid(range(-1, 12), ranks)),
         (prymbn.prym_limit_vanishing_ramified, grid(range(-1, 12), ranks)),
         (prymbn.prym_limit_vanishing_dual, grid(range(-1, 12), ranks)),
@@ -200,7 +206,8 @@ def call(fn: object, args: tuple) -> bytes:
         outcome = repr(fn(*args))
     except Exception as exc:  # a refusal is part of the record
         outcome = f"raised {type(exc).__name__}: {exc}"
-    return "\0".join([f"{fn.__name__}{args!r}", outcome, ""]).encode()
+    name = re.sub(r" at 0x[0-9a-f]+", "", f"{fn.__name__}{args!r}")
+    return "\0".join([name, outcome, ""]).encode()
 
 
 def run(argv: list[str]) -> bytes:
