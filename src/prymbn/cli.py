@@ -33,6 +33,8 @@ from .theta_ring import ThetaClass
 
 USAGE_ERROR = 2
 INVARIANT_ERROR = 1
+# The deepest limits walk pbn runs (it recurses once per entry); the library takes any r.
+LIMITS_MAX_R = 400
 
 
 def _rat(f: Fraction) -> object:
@@ -114,6 +116,8 @@ def _cmd_count(args) -> _Reply:
 
 def _cmd_limits(args) -> _Reply:
     problem = LimitProblem(verify.LIMIT_FLAVORS[args.flavor], args.g, args.r)
+    if problem.s >= 0 and problem.r > LIMITS_MAX_R:
+        raise ParameterError(f"--r {problem.r} is past the limits cap of {LIMITS_MAX_R}")
     result: dict[str, object] = {"empty": problem.s < 0, "s": problem.s}
     if args.show_candidates:  # [] on an empty locus (s < 0)
         result["candidates"] = enumerate_candidates(problem)

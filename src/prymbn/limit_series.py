@@ -123,23 +123,23 @@ def enumerate_candidates(
     out: list[tuple[int, ...]] = []
     if p.s >= 0:
         test = None if keep is None else lambda a: keep(p.g - p.r - 1 + len(a), len(a) - 1, a)
-        _extend(out, (), 0, 1, p.r + 1, p.target_sum, p.degree,
-                p.flavor != RAMIFIED_X_PLUS_Y, test)
+        _extend(out, (), p.r + 1, p.target_sum, p.degree, p.flavor != RAMIFIED_X_PLUS_Y, test)
     return out
 
 
-def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: int,
-            k: int, rest: int, d: int, parity: bool,
-            test: Callable[[tuple[int, ...]], bool] | None) -> None:
-    """Append each completion of ``prefix`` by k entries, the first in range(lo, d+1, step),
-    summing to ``rest`` with gaps >= 2 and, if ``parity``, one common parity.  A ``test``
-    is called on each prefix and each whole tuple, and only what passes is extended or
-    appended; without one, no call is made per node and k = 2 appends its pairs at once."""
+def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], k: int, rest: int, d: int,
+            parity: bool, test: Callable[[tuple[int, ...]], bool] | None) -> None:
+    """Append each completion of ``prefix`` by k entries up to d summing to ``rest``, the first
+    at least the last entry + 2 (0 at the root), with gaps >= 2 and, if ``parity``, one common
+    parity.  A ``test`` is called on each prefix and whole tuple, and only what passes is kept;
+    without one, no call is made per node and k = 2 appends its pairs at once.  The last entry
+    needs no range test: x <= (rest-2)//2, x + top >= rest and, with parity, even rest - 2x put
+    rest - x in [x+2, d] with x's parity; at the root (r = 0), s >= 0 puts d/2 in [0, d]."""
     if k == 1:
-        fits = lo <= rest <= d and (rest - lo) % step == 0
-        if fits and (test is None or test(prefix + (rest,))):
+        if test is None or test(prefix + (rest,)):
             out.append(prefix + (rest,))
         return
+    lo, step = (prefix[-1] + 2, 2 if parity else 1) if prefix else (0, 1)
     # x, x+2, ... must not overshoot rest; x plus the k-1 top values must reach it.
     start = max(lo, rest - (k - 1) * (d - k + 2))
     start += (lo - start) % step
@@ -150,8 +150,7 @@ def _extend(out: list[tuple[int, ...]], prefix: tuple[int, ...], lo: int, step: 
         if k == 2 and test is None:  # the checks above already admit the last entry rest - x
             out.append(prefix + (x, rest - x))
         elif test is None or test(prefix + (x,)):
-            _extend(out, prefix + (x,), x + 2, 2 if parity else 1, k - 1, rest - x, d, parity,
-                    test)
+            _extend(out, prefix + (x,), k - 1, rest - x, d, parity, test)
 
 
 def _endpoint_filter_unramified(g: int, r: int, a: tuple[int, ...]) -> bool:

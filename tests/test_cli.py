@@ -322,8 +322,29 @@ class TestLimits:
         assert code == 0
         assert json.loads(out)["result"]["empty"] is True
 
-    @pytest.mark.parametrize("flavor,g,r", [("ramified", 2, 3), ("unramified", 2, 2)])
+    @pytest.mark.parametrize("flavor", ["unramified", "ramified"])
+    def test_r_past_the_cap_is_refused_before_any_walk(self, flavor):
+        # The walk recurses once per entry: r = 1100 would overflow the interpreter's stack.
+        start = time.perf_counter()
+        code, out, err = run_cli("limits", "--flavor", flavor, "--g", "605560", "--r", "1100")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"--r 1100 is past the limits cap of {cli.LIMITS_MAX_R}" in err
+
+    @pytest.mark.parametrize("flavor,extra", [("unramified", 1), ("ramified", 0)])
+    def test_r_at_the_cap_answers(self, flavor, extra):
+        # The least g with s >= 0 at r = LIMITS_MAX_R: the deepest walk the cap admits.
+        r = cli.LIMITS_MAX_R
+        g = r * (r + 1) // 2 + extra
+        rec = run_json("limits", "--flavor", flavor, "--g", str(g), "--r", str(r))
+        center = g - extra
+        assert rec["result"]["s"] == 0
+        assert rec["result"]["solution"] == list(range(center - r, center + r + 1, 2))
+
+    @pytest.mark.parametrize("flavor,g,r", [("ramified", 2, 3), ("unramified", 2, 2),
+                                            ("ramified", 3, 1100), ("unramified", 3, 1100)])
     def test_empty_locus_keeps_the_candidates_flag(self, flavor, g, r):
+        # r = 1100 is past the limits cap, which refuses only a walk (s >= 0).
         args = ("limits", "--flavor", flavor, "--g", str(g), "--r", str(r), "--show-candidates")
         rec = run_json(*args)
         assert rec["params"]["show_candidates"] is True

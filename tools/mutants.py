@@ -121,9 +121,13 @@ MUTANTS = [
      "keep(p.g - p.r + len(a),",
      ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
     ("the pruned walk appends a last entry without testing it", "src/prymbn/limit_series.py",
-     "if fits and (test is None or test(prefix + (rest,))):",
-     "if fits:",
+     "if test is None or test(prefix + (rest,)):",
+     "if True:",
      ["tests/test_limit_series.py::TestPrunedWalk::test_matches_the_filtered_full_walk"]),
+    ("the walk lets the next entry follow at +1", "src/prymbn/limit_series.py",
+     "prefix[-1] + 2",
+     "prefix[-1] + 1",
+     ["tests/test_limit_series.py::TestEnumerate::test_matches_naive_walk"]),
     ("the pruned walk appends its pairs without testing them", "src/prymbn/limit_series.py",
      "if k == 2 and test is None:",
      "if k == 2:",
@@ -137,6 +141,10 @@ MUTANTS = [
      "if False:",
      ["tests/test_limit_series.py::TestSolveUnique"
       "::test_rho_check_on_survivor_names_the_problem"]),
+    ("limits refuses r at its cap", "src/prymbn/cli.py",
+     "problem.r > LIMITS_MAX_R",
+     "problem.r >= LIMITS_MAX_R",
+     ["tests/test_cli.py::TestLimits::test_r_at_the_cap_answers[ramified-0]"]),
     ("main exits 2 on an invariant violation", "src/prymbn/cli.py",
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return INVARIANT_ERROR',
      'print(f"pbn: invariant violation: {exc}", file=sys.stderr)\n        return USAGE_ERROR',
